@@ -5,6 +5,12 @@ Hypotheses are scored by their summed log probability normalized with the
 complete an n-gram already present in its hypothesis gets probability zero
 before top-k selection, so no returned hypothesis repeats an n-gram of the
 blocked size.  With beam_size 1 the search degenerates to greedy decoding.
+
+One search loop serves both entry points and asks for the distributions of
+all live hypotheses at once.  beam_search drives the model's
+IncrementalDecoder, which advances every live hypothesis by one position
+per step from cached keys and values; beam_search_fn calls an arbitrary
+per-prefix distribution function once per live hypothesis.
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from threadsum.corpus import CleanThread
-from threadsum.model import AttentionWeights, ModelParams, attention_weights, decode_step, encode_thread
+from threadsum.model import (  # decode_step: the full-prefix reference, importable from here
+    AttentionWeights,
+    IncrementalDecoder,
+    ModelParams,
+    attention_weights,
+    decode_step,
+    encode_thread,
+)
 from threadsum.tokenizer import BOS, EOS, SEP, Vocab, decode, encode
 
 if TYPE_CHECKING:
@@ -82,29 +95,44 @@ def beam_search_fn(
     Returns all finished hypotheses ranked by normalized score, best first;
     hypotheses cut off at max_out_len are marked finished without [EOS].
     """
+
+    def step_all(prefixes):
+        return np.stack([np.asarray(step_fn(list(p)), dtype=np.float64) for p in prefixes])
+
+    return _search(step_all, cfg, vocab_size, trace)
+
+
+def _search(
+    step_all: Callable[[list[tuple[int, ...]]], np.ndarray],
+    cfg: DecodeConfig,
+    vocab_size: int,
+    trace: list | None,
+) -> list[Hypothesis]:
+    """The search loop; step_all maps the live prefixes of one step to a
+    fresh (n_live, vocab_size) array of next-token distributions."""
     alpha = cfg.length_penalty_alpha
     live = [Hypothesis(ids=(BOS,), log_prob=0.0, finished=False)]
     finished: list[Hypothesis] = []
     lp_max = length_penalty(cfg.max_out_len, alpha)
     k_top = min(vocab_size, cfg.beam_size)
+    token_ids = np.arange(vocab_size)
 
     for _ in range(cfg.max_out_len):
-        candidates = []
-        for hyp in live:
-            probs = np.asarray(step_fn(list(hyp.ids)), dtype=np.float64)
-            if cfg.block_ngram:
+        probs = step_all([hyp.ids for hyp in live])
+        if cfg.block_ngram:
+            for row, hyp in zip(probs, live):
                 banned = blocked_tokens(hyp.ids, cfg.block_ngram)
                 if banned:
-                    probs = probs.copy()
-                    probs[list(banned)] = 0.0
-            with np.errstate(divide="ignore"):
-                logp = np.log(probs)
-            order = np.lexsort((np.arange(vocab_size), -logp))[:k_top]
-            for token in order:
+                    row[list(banned)] = 0.0
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs)
+        candidates = []
+        for hyp, row in zip(live, logp):
+            for token in np.lexsort((token_ids, -row))[:k_top]:
                 candidates.append(
                     Hypothesis(
                         ids=hyp.ids + (int(token),),
-                        log_prob=hyp.log_prob + float(logp[token]),
+                        log_prob=hyp.log_prob + float(row[token]),
                         finished=int(token) == EOS,
                     )
                 )
@@ -140,9 +168,8 @@ def beam_search(params: ModelParams, enc_att: np.ndarray, cfg: DecodeConfig) -> 
     budget = min(cfg.max_out_len, params.config.max_len - 1)
     if budget != cfg.max_out_len:
         cfg = DecodeConfig(cfg.beam_size, cfg.block_ngram, budget, cfg.length_penalty_alpha)
-    return beam_search_fn(
-        lambda prefix: decode_step(params, enc_att, prefix), cfg, params.config.vocab_size
-    )
+    decoder = IncrementalDecoder(params, enc_att)
+    return _search(decoder.step, cfg, params.config.vocab_size, trace=None)
 
 
 def summarize(

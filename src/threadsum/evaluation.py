@@ -21,7 +21,9 @@ import numpy as np
 
 from threadsum._kernels import ngram_overlap
 from threadsum.corpus import CleanThread
-from threadsum.tokenizer import Vocab, encode
+from threadsum.decoding import DecodeError
+from threadsum.model import ModelError
+from threadsum.tokenizer import TokenizerError, Vocab, encode
 
 SMOOTH_EPS = 1e-3  # Laplace mass added to both distributions before normalizing
 
@@ -229,8 +231,10 @@ def evaluate_thread(summary_comments: str, full_summary: str, thread: CleanThrea
 def evaluate_fold(state, fold: list[CleanThread], decode_config, vocab: Vocab, n: int = 1):
     """Summarize every thread in the fold (likes withheld) and score it.
 
-    Returns (reports, aggregates, n_skipped); threads that fail to encode
-    are skipped and counted.  Aggregate means ignore nan recall_w values.
+    Returns (reports, aggregates, n_skipped); threads that summarization
+    rejects with a model, decoding or tokenizer error are skipped and
+    counted, and any other exception propagates.  Aggregate means ignore nan
+    recall_w values.
     """
     from threadsum.decoding import summarize
 
@@ -241,7 +245,7 @@ def evaluate_fold(state, fold: list[CleanThread], decode_config, vocab: Vocab, n
     for thread in fold:
         try:
             result = summarize(state, vocab, thread, decode_config, provide_likes=False)
-        except Exception:
+        except (ModelError, DecodeError, TokenizerError):
             skipped += 1
             continue
         comment_text = " ".join(result["comment_parts"]) or result["raw"]

@@ -2,9 +2,11 @@
 
 Every layer comes as a forward/backward pair: forward returns the output
 plus a cache, backward consumes the upstream gradient and the cache and
-returns input gradients plus parameter gradients.  All functions operate on
-a single unbatched sequence of shape (T, d_model); the training loop
-averages gradients across examples instead of padding a batch.
+returns input gradients plus parameter gradients.  Training passes one
+unbatched sequence of shape (T, d_model) at a time and averages gradients
+across examples instead of padding a batch.  The row-wise forwards
+(linear, layer norm, FFN, GELU, softmax) also take the (n_live, d_model)
+rows of incremental beam decoding, one row per live hypothesis.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ def linear_bwd(dout, cache):
 
 
 def layer_norm_fwd(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)  # the steps of x.var, reusing xc
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv_std
+    xhat = xc * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)
 
 
@@ -58,7 +60,7 @@ def layer_norm_bwd(dout, cache):
 
 
 def gelu_fwd(x):
-    u = _GELU_C * (x + _GELU_A * x**3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))  # x**3 is numpy's slow pow path
     t = np.tanh(u)
     return 0.5 * x * (1.0 + t), (x, t)
 

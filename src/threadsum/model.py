@@ -7,7 +7,8 @@ The decoder cross-attends over this scaled encoding.
 
 All forward passes also produce caches so that forward_loss can run an
 exact hand-written backward pass; gradients are validated against central
-finite differences in the test suite.
+finite differences in the test suite.  IncrementalDecoder, used by beam
+search, is inference only: it keeps attention keys and values instead.
 """
 
 from __future__ import annotations
@@ -377,6 +378,127 @@ def decode_step(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) -> 
         raise ModelError(f"prefix of {len(prefix)} ids too long for max_len {params.config.max_len}")
     logits = decoder_logits(params, enc_att, prefix)
     return layers.softmax(logits[-1].astype(np.float64))
+
+
+@dataclass(frozen=True)
+class _CachedDecBlock:
+    """One decoder block's parameter views, with its cross-attention keys
+    and values already projected from the encoding and split into heads."""
+
+    self_p: dict[str, np.ndarray]
+    cross_p: dict[str, np.ndarray]
+    cross_k: np.ndarray  # (heads, enc_len, d_head)
+    cross_v: np.ndarray
+    ffn_p: dict[str, np.ndarray]
+    lns: tuple  # (gamma, beta) of ln1, ln2, ln3
+
+
+class IncrementalDecoder:
+    """Next-token distributions for the live prefixes of one encoded thread,
+    advanced together by one position per step.
+
+    The cross-attention keys and values of the fixed encoding are projected
+    once, at construction.  Every prefix of a step has the same length, and
+    its parent (the prefix minus its last token) must be one of the prefixes
+    of the previous step, or empty for the one-token [BOS] prefix of the
+    first step; several prefixes may share a parent.  A prefix gathers its
+    parent's self-attention keys and values and appends those of its own
+    last position, so a step costs one (n_live, d_model) pass whatever the
+    prefix length.  Only the rows of the latest step are kept.
+
+    The distributions equal decode_step's up to the float rounding of
+    matmuls over fewer rows.
+    """
+
+    def __init__(self, params: ModelParams, enc_att: np.ndarray):
+        cfg = params.config
+        t = params.tensors
+        self.n_heads = cfg.n_heads
+        self.max_len = cfg.max_len
+        self.tok_emb = t["tok_emb"]
+        self.pos_emb = t["pos_emb"]
+        self.emb_ln = (t["dec_emb_ln_g"], t["dec_emb_ln_b"])
+        self.lm = (t["lm_W"], t["lm_b"])
+        self.blocks = []
+        for i in range(cfg.n_dec_blocks):
+            pfx = f"dec{i}"
+            cross_p = _sub(t, f"{pfx}.cross.")
+            k, _ = layers.linear_fwd(enc_att, cross_p["Wk"], cross_p["bk"])
+            v, _ = layers.linear_fwd(enc_att, cross_p["Wv"], cross_p["bv"])
+            self.blocks.append(_CachedDecBlock(
+                self_p=_sub(t, f"{pfx}.self."),
+                cross_p=cross_p,
+                cross_k=layers._split_heads(k, self.n_heads),
+                cross_v=layers._split_heads(v, self.n_heads),
+                ffn_p=_sub(t, f"{pfx}.ffn."),
+                lns=tuple((t[f"{pfx}.ln{j}_g"], t[f"{pfx}.ln{j}_b"]) for j in (1, 2, 3)),
+            ))
+        d_head = cfg.d_model // cfg.n_heads
+        empty = np.zeros((1, self.n_heads, 0, d_head), dtype=params.dtype)
+        self._rows: dict[tuple[int, ...], int] = {(): 0}
+        self._kv = [(empty, empty)] * cfg.n_dec_blocks  # (rows, heads, length, d_head)
+
+    def step(self, prefixes) -> np.ndarray:
+        """Next-token distributions after each prefix, shape (len(prefixes), V), float64.
+
+        Raises ModelError for an invalid prefix and KeyError for a prefix
+        whose parent was not advanced by the previous step.
+        """
+        prefixes = [tuple(p) for p in prefixes]
+        if not prefixes:
+            raise ModelError("step needs at least one prefix")
+        length = len(prefixes[0])
+        if any(len(p) != length for p in prefixes):
+            raise ModelError("all prefixes of one step must have the same length")
+        if length == 0:
+            raise ModelError("prefix must be non-empty (start with [BOS])")
+        if any(p[0] != BOS for p in prefixes):
+            raise ModelError("prefix must start with [BOS]")
+        if length >= self.max_len:
+            raise ModelError(f"prefix of {length} ids too long for max_len {self.max_len}")
+        parents = [self._rows[p[:-1]] for p in prefixes]
+
+        y = self.tok_emb[[p[-1] for p in prefixes]] + self.pos_emb[length - 1]
+        y, _ = layers.layer_norm_fwd(y, *self.emb_ln)
+        kv = []
+        for blk, (k_past, v_past) in zip(self.blocks, self._kv):
+            a, k, v = self._self_attention(y, blk.self_p, k_past[parents], v_past[parents])
+            kv.append((k, v))
+            y, _ = layers.layer_norm_fwd(y + a, *blk.lns[0])
+            c = self._cross_attention(y, blk)
+            y, _ = layers.layer_norm_fwd(y + c, *blk.lns[1])
+            f, _ = layers.ffn_fwd(y, blk.ffn_p)
+            y, _ = layers.layer_norm_fwd(y + f, *blk.lns[2])
+        self._kv = kv
+        self._rows = {p: row for row, p in enumerate(prefixes)}
+        logits, _ = layers.linear_fwd(y, *self.lm)
+        return layers.softmax(logits.astype(np.float64))
+
+    def _self_attention(self, y, p, k_past, v_past):
+        """Attention of each row's new position over its own prefix; returns
+        (output, keys, values) with the new position appended."""
+        n, d = y.shape
+        heads = (n, self.n_heads, 1, d // self.n_heads)
+        q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
+        k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])
+        v, _ = layers.linear_fwd(y, p["Wv"], p["bv"])
+        k = np.concatenate((k_past, k.reshape(heads)), axis=2)
+        v = np.concatenate((v_past, v.reshape(heads)), axis=2)
+        scale = 1.0 / math.sqrt(heads[-1])
+        s = q.reshape(heads) @ k.transpose(0, 1, 3, 2) * scale
+        ctx = layers.softmax(s, axis=-1) @ v
+        out, _ = layers.linear_fwd(ctx.reshape(n, d), p["Wo"], p["bo"])
+        return out, k, v
+
+    def _cross_attention(self, y, blk):
+        p = blk.cross_p
+        q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
+        qh = layers._split_heads(q, self.n_heads)
+        scale = 1.0 / math.sqrt(qh.shape[-1])
+        s = qh @ blk.cross_k.transpose(0, 2, 1) * scale
+        ctx = layers._merge_heads(layers.softmax(s, axis=-1) @ blk.cross_v)
+        out, _ = layers.linear_fwd(ctx, p["Wo"], p["bo"])
+        return out
 
 
 def _smoothed_targets(gold: np.ndarray, mask: np.ndarray, vocab_size: int, eps: float, dtype):

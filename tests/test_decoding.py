@@ -16,7 +16,14 @@ from threadsum.decoding import (
     normalized_score,
     summarize,
 )
-from threadsum.model import ModelConfig, attention_weights, encode_thread, init_params
+from threadsum.model import (
+    ModelConfig,
+    ModelParams,
+    attention_weights,
+    decode_step,
+    encode_thread,
+    init_params,
+)
 from threadsum.tokenizer import BOS, EOS, SEP, SPECIAL_TOKENS, Vocab, encode
 from threadsum.training import get_variant, new_state
 
@@ -199,6 +206,36 @@ class TestModelBeamSearch:
         b = beam_search(params, encoded.enc_att, cfg)
         assert [h.ids for h in a] == [h.ids for h in b]
         assert a[0].ids[0] == BOS
+
+    def test_cached_search_equals_per_prefix_reference(self):
+        """beam_search's cached decoder ranks exactly the hypotheses that the
+        per-prefix search over decode_step ranks, including a budget cut by
+        max_len."""
+        vocab, thread = tiny_vocab_and_thread()
+        cfg_model = ModelConfig(
+            vocab_size=len(vocab), d_model=16, n_enc_blocks=1, n_dec_blocks=2,
+            n_heads=2, d_ff=32, max_len=12, dropout=0.0, label_smoothing=0.0,
+        )
+        seq = encode(vocab, [thread.title] + [c.text for c in thread.comments], max_len=12)
+        for seed in range(6):
+            # weights far from init scale and a raised [EOS] bias give peaked
+            # distributions whose hypotheses end at many lengths
+            rng = np.random.default_rng(seed)
+            shapes = init_params(cfg_model, seed=seed, dtype=np.float64).tensors
+            params = ModelParams(cfg_model, {k: rng.normal(0.0, 0.5, v.shape) for k, v in shapes.items()})
+            params.tensors["lm_b"][EOS] += 1.0
+            enc_att = encode_thread(params, seq, attention_weights(thread)).enc_att
+            for beam_size, max_out_len in ((1, 8), (2, 8), (3, 10), (5, 40)):
+                cfg = DecodeConfig(beam_size=beam_size, block_ngram=3, max_out_len=max_out_len)
+                cached = beam_search(params, enc_att, cfg)
+                budget = DecodeConfig(beam_size, 3, min(max_out_len, cfg_model.max_len - 1))
+                reference = beam_search_fn(
+                    lambda prefix: decode_step(params, enc_att, prefix), budget, len(vocab)
+                )
+                assert [h.ids for h in cached] == [h.ids for h in reference]
+                for a, b in zip(cached, reference):
+                    assert a.log_prob == pytest.approx(b.log_prob, rel=0, abs=1e-9)
+                    assert a.finished == b.finished
 
     def test_empty_encoding_rejected(self):
         cfg_model = ModelConfig(vocab_size=10, d_model=8, n_heads=2, d_ff=16, max_len=16)

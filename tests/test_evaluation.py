@@ -21,6 +21,7 @@ from threadsum.evaluation import (
     xent_rouge,
 )
 from threadsum.evaluation import EvalReport, CharacterizationFeatures
+from threadsum.model import ModelError
 from threadsum.tokenizer import SPECIAL_TOKENS, Vocab
 
 
@@ -316,7 +317,7 @@ class TestEvaluateFold:
 
         def flaky(state, vocab, t, cfg, provide_likes=False):
             if t.id == "bad":
-                raise RuntimeError("cannot encode")
+                raise ModelError("cannot encode")
             return {"thread_id": t.id, "title_part": "", "comment_parts": ["uno dos"],
                     "raw": "uno dos", "variant": 5}
 
@@ -325,6 +326,19 @@ class TestEvaluateFold:
         reports, _, skipped = evaluate_fold(self.FakeState(), [good, bad], None, None)
         assert skipped == 1
         assert [r.thread_id for r in reports] == ["good"]
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        """Only model, decoding and tokenizer errors count as skipped threads;
+        anything else is a bug and must surface."""
+        from threadsum.evaluation import evaluate_fold
+
+        def broken(state, vocab, t, cfg, provide_likes=False):
+            raise RuntimeError("bug in the decoder")
+
+        self.patch_summarize(monkeypatch, broken)
+        thread = make_thread([("uno dos tres cuatro cinco", 2)])
+        with pytest.raises(RuntimeError, match="bug in the decoder"):
+            evaluate_fold(self.FakeState(), [thread], None, None)
 
     def test_zero_like_threads_excluded_from_recall_mean(self, monkeypatch):
         import math

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from threadsum import layers
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum.model import (
     AttentionWeights,
+    IncrementalDecoder,
     ModelConfig,
     ModelError,
     ModelParams,
@@ -163,6 +165,85 @@ class TestDecodeStep:
             decode_step(self.params, self.enc_att, [])
         with pytest.raises(ModelError, match="too long"):
             decode_step(self.params, self.enc_att, [BOS] + [5] * TINY.max_len)
+
+
+class TestIncrementalDecoder:
+    """The cached, batched decoder against decode_step's full-prefix pass."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.cfg = ModelConfig(**{**TINY.__dict__, "n_dec_blocks": 2})
+        self.params = init_params(self.cfg, seed=13, dtype=np.float64)
+        seq, weights, _ = tiny_inputs(rng)
+        self.enc_att = encode_thread(self.params, seq, weights).enc_att
+
+    def assert_matches_reference(self, decoder, prefixes):
+        dists = decoder.step(prefixes)
+        assert dists.shape == (len(prefixes), self.cfg.vocab_size)
+        for prefix, dist in zip(prefixes, dists):
+            reference = decode_step(self.params, self.enc_att, list(prefix))
+            np.testing.assert_allclose(dist, reference, rtol=0, atol=1e-10)
+
+    def test_shared_and_reordered_parents(self):
+        decoder = IncrementalDecoder(self.params, self.enc_att)
+        self.assert_matches_reference(decoder, [(BOS,)])
+        self.assert_matches_reference(decoder, [(BOS, 6), (BOS, 7), (BOS, 9)])
+        # (BOS, 9) is shared by three children and (BOS, 7) dies
+        self.assert_matches_reference(
+            decoder, [(BOS, 9, 5), (BOS, 6, 8), (BOS, 9, 11), (BOS, 9, 6)]
+        )
+        self.assert_matches_reference(decoder, [(BOS, 9, 6, 12), (BOS, 9, 5, 12), (BOS, 9, 6, 7)])
+
+    def test_random_beam_trees_up_to_max_len(self):
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            decoder = IncrementalDecoder(self.params, self.enc_att)
+            prefixes = [(BOS,)]
+            while len(prefixes[0]) < self.cfg.max_len:
+                self.assert_matches_reference(decoder, prefixes)
+                n_next = int(rng.integers(1, 6))
+                parents = rng.integers(0, len(prefixes), size=n_next)
+                prefixes = [
+                    prefixes[j] + (int(rng.integers(3, self.cfg.vocab_size)),) for j in parents
+                ]
+
+    def test_prefix_validation(self):
+        decoder = IncrementalDecoder(self.params, self.enc_att)
+        with pytest.raises(ModelError, match="non-empty"):
+            decoder.step([()])
+        with pytest.raises(ModelError, match="BOS"):
+            decoder.step([(EOS,)])
+        decoder.step([(BOS,)])
+        with pytest.raises(ModelError, match="same length"):
+            decoder.step([(BOS, 5), (BOS, 5, 6)])
+        with pytest.raises(KeyError):
+            decoder.step([(BOS, 5, 6)])  # its parent (BOS, 5) was never advanced
+
+    def test_prefix_at_max_len_rejected(self):
+        decoder = IncrementalDecoder(self.params, self.enc_att)
+        prefix = (BOS,)
+        while len(prefix) < self.cfg.max_len:
+            decoder.step([prefix])
+            prefix = prefix + (5,)
+        with pytest.raises(ModelError, match="too long"):
+            decoder.step([prefix])
+
+
+class TestLayerNorm:
+    def test_equals_the_var_formula_bit_for_bit(self):
+        """Taking the variance of the centred input repeats numpy's own var."""
+        rng = np.random.default_rng(15)
+        for dtype in (np.float32, np.float64):
+            for shape in ((5, 48), (53, 48), (3, 128)):
+                x = (rng.normal(1.0, 3.0, shape)).astype(dtype)
+                gamma = rng.normal(size=shape[-1]).astype(dtype)
+                beta = rng.normal(size=shape[-1]).astype(dtype)
+                mu = x.mean(axis=-1, keepdims=True)
+                var = x.var(axis=-1, keepdims=True)
+                expected = gamma * ((x - mu) * (1.0 / np.sqrt(var + 1e-5))) + beta
+                out, _ = layers.layer_norm_fwd(x, gamma, beta)
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(out, expected)
 
 
 class TestForwardLoss:
