@@ -7,7 +7,7 @@ comments.  Evaluation compares the summary's per-comment ROUGE distribution
 against the likes distribution.
 """
 
-from threadsum._kernels import BACKEND as kernel_backend
+kernel_backend = "pure"  # read by perfbench/run.py for its environment block
 
 __version__ = "0.1.0"
 

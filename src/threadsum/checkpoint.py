@@ -4,12 +4,15 @@ Layout: magic "TSUM", version, a canonical-JSON key-value header, then each
 tensor as (name, dtype tag, shape, row-major little-endian data).  The
 header carries the model configuration, training counters, rng state and
 the vocabulary content hash; byte-identical state produces byte-identical
-files.
+files.  A file is written under a temporary name beside its target and
+renamed over it once complete, so a failed write never leaves a partial
+file in its place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -25,6 +28,16 @@ class CheckpointError(ValueError):
 
 
 def write_tensors(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        _write(tmp, header, tensors)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.remove(tmp)
+
+
+def _write(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

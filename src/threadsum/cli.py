@@ -3,8 +3,10 @@
 Subcommands cover the full pipeline: preprocess raw threads, build the
 subword vocabulary, train a task variant, summarize threads from a
 checkpoint, evaluate a fold, and build the quartile characterization
-report.  Every command is deterministic given its inputs and --seed; flags
-override values read from an optional --config key-value file.
+report.  Every command is deterministic given its inputs; preprocess and
+train, the two that draw random numbers, also take --seed.  Flags override
+values read from an optional --config key-value file (all commands but
+characterize).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from threadsum.training import (
     TrainSchedule,
     get_variant,
     load_checkpoint,
-    resume,
     train,
 )
 
@@ -120,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,validation,test ratios")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--config", default=None, help="key-value config file; flags override")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (single-process pipeline)")
 
     p = sub.add_parser("build-vocab", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="train the subword vocabulary on the train fold")
     p.add_argument("--in", dest="input", required=True, help="clean JSONL corpus")
@@ -129,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", type=int, default=1, help="minimum pair frequency to merge")
     p.add_argument("--no-lowercase", action="store_true", help="keep original casing")
     p.add_argument("--fold", default="train", choices=("train", "validation", "test", "all"), help="fold to read")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("train", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="train one task variant")
     p.add_argument("--in", dest="input", required=True, help="clean JSONL corpus")
@@ -148,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-norm", type=float, default=1.0, help="global gradient-norm clip (0 disables)")
     p.add_argument("--log-every", type=int, default=0, help="print loss every N steps (0 silences)")
     p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=1)
     _add_model_flags(p)
     _add_decode_flags(p)
 
@@ -159,9 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", required=True, help="summaries JSONL")
     p.add_argument("--fold", default="test", choices=("train", "validation", "test", "all"), help="fold to read")
     p.add_argument("--provide-likes", action="store_true", help="feed real likes instead of uniform weights")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=1)
     _add_decode_flags(p)
 
     p = sub.add_parser("evaluate", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="score generated summaries over a fold")
@@ -171,17 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--fold", default="test", choices=("train", "validation", "test", "all"), help="fold to read")
     p.add_argument("--rouge-n", type=int, default=1, help="n-gram order for all ROUGE metrics")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=1)
     _add_decode_flags(p)
 
     p = sub.add_parser("characterize", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="quartile report from evaluation reports")
     p.add_argument("--reports", required=True, help="EvalReport JSONL from evaluate")
     p.add_argument("--out", dest="output", required=True, help="quartile CSV")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     for sp in sub.choices.values():
         sp.set_defaults(_sub=sp)
@@ -224,7 +214,7 @@ def cmd_train(args) -> int:
     )
     schedule = TrainSchedule(max_steps=args.steps, eval_every=args.eval_every)
     if args.resume:
-        state = resume(args.resume, expected_vocab_sha=sha)
+        state = load_checkpoint(args.resume, expected_vocab_sha=sha)
         config = state.params.config
         variant = state.variant
     else:

@@ -109,14 +109,12 @@ def _parse_thread(obj: dict, line_no: int) -> RawThread:
     return RawThread(id=str(obj["id"]), title=str(obj["title"]), comments=comments)
 
 
-def load_corpus(path, format: str = "jsonl") -> list[RawThread]:
+def load_corpus(path) -> list[RawThread]:
     """Read one RawThread per line from a JSON-lines file, in file order.
 
     Thread ids must be unique within the file.  Malformed lines raise
     CorpusError carrying the 1-based line number.
     """
-    if format != "jsonl":
-        raise CorpusError(f"unsupported corpus format: {format!r}")
     threads: list[RawThread] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:

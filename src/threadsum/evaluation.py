@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from threadsum._kernels import ngram_overlap
 from threadsum.corpus import CleanThread
 from threadsum.decoding import DecodeError
 from threadsum.model import ModelError
@@ -69,11 +68,34 @@ def rouge_tokens(text: str) -> list[str]:
     return _NON_WORD.sub(" ", text.lower()).split()
 
 
+def _ngram_overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
+    """Clipped multiset n-gram overlap between two token lists.
+
+    Returns (overlap, candidate n-gram count, reference n-gram count).
+    """
+    n_cand = max(len(cand) - n + 1, 0)
+    n_ref = max(len(ref) - n + 1, 0)
+    if n_cand == 0 or n_ref == 0:
+        return 0, n_cand, n_ref
+    ref_counts: dict[tuple[str, ...], int] = {}
+    for i in range(n_ref):
+        gram = tuple(ref[i : i + n])
+        ref_counts[gram] = ref_counts.get(gram, 0) + 1
+    overlap = 0
+    for i in range(n_cand):
+        gram = tuple(cand[i : i + n])
+        left = ref_counts.get(gram, 0)
+        if left > 0:
+            overlap += 1
+            ref_counts[gram] = left - 1
+    return overlap, n_cand, n_ref
+
+
 def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
     """Clipped n-gram overlap scores; an empty side zeroes the affected score."""
     if n < 1:
         raise MetricError("n-gram order must be >= 1")
-    overlap, n_cand, n_ref = ngram_overlap(rouge_tokens(candidate), rouge_tokens(reference), n)
+    overlap, n_cand, n_ref = _ngram_overlap(rouge_tokens(candidate), rouge_tokens(reference), n)
     recall = overlap / n_ref if n_ref else 0.0
     precision = overlap / n_cand if n_cand else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -90,26 +112,37 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return smoothed / smoothed.sum()
 
 
-def xent_rouge(summary: str, thread: CleanThread, n: int = 1):
-    """Cross-entropy of the smoothed likes distribution against the smoothed
-    per-comment ROUGE-recall distribution.  Returns (xent, likes_dist,
-    rouge_dist)."""
+def _comment_recalls(summary: str, thread: CleanThread, n: int) -> np.ndarray:
+    """ROUGE-n recall of the summary against each comment, in thread order."""
+    return np.array([rouge_n(summary, c.text, n).recall for c in thread.comments])
+
+
+def _xent(recalls: np.ndarray, thread: CleanThread):
     if not thread.comments:
         raise MetricError(f"thread {thread.id!r} has no comments")
-    scores = np.array([rouge_n(summary, c.text, n).recall for c in thread.comments])
     likes_dist = _normalize(np.asarray(thread.likes, dtype=np.float64))
-    rouge_dist = _normalize(scores)
+    rouge_dist = _normalize(recalls)
     return cross_entropy(likes_dist, rouge_dist), likes_dist, rouge_dist
 
 
-def weighted_recall(summary: str, thread: CleanThread, n: int = 1) -> float:
-    """Likes-weighted average of per-comment ROUGE recall."""
+def _weighted_recall(recalls: np.ndarray, thread: CleanThread) -> float:
     likes = np.asarray(thread.likes, dtype=np.float64)
     total = likes.sum()
     if total <= 0:
         raise MetricError("Recall_w undefined for zero total likes")
-    recalls = np.array([rouge_n(summary, c.text, n).recall for c in thread.comments])
     return float((recalls * likes).sum() / total)
+
+
+def xent_rouge(summary: str, thread: CleanThread, n: int = 1):
+    """Cross-entropy of the smoothed likes distribution against the smoothed
+    per-comment ROUGE-recall distribution.  Returns (xent, likes_dist,
+    rouge_dist)."""
+    return _xent(_comment_recalls(summary, thread, n), thread)
+
+
+def weighted_recall(summary: str, thread: CleanThread, n: int = 1) -> float:
+    """Likes-weighted average of per-comment ROUGE recall."""
+    return _weighted_recall(_comment_recalls(summary, thread, n), thread)
 
 
 def title_rouge(summary: str, title: str, n: int = 1) -> float:
@@ -210,15 +243,17 @@ def _salient_indices(thread: CleanThread, n_comments: int) -> list[int]:
 
 def evaluate_thread(summary_comments: str, full_summary: str, thread: CleanThread, n: int = 1,
                     n_salient: int = 1) -> EvalReport:
-    """Score one generated summary against its thread."""
-    xent, likes_dist, rouge_dist = xent_rouge(summary_comments, thread, n)
+    """Score one generated summary against its thread; each comment's ROUGE
+    is computed once and feeds XENT, its distributions and Recall_w."""
+    recalls = _comment_recalls(summary_comments, thread, n)
+    xent, likes_dist, rouge_dist = _xent(recalls, thread)
     try:
-        recall_w = weighted_recall(summary_comments, thread, n)
+        recall_w = _weighted_recall(recalls, thread)
     except MetricError:
         recall_w = float("nan")
     return EvalReport(
         thread_id=thread.id,
-        per_comment_rouge=[rouge_n(summary_comments, c.text, n).recall for c in thread.comments],
+        per_comment_rouge=[float(x) for x in recalls],
         likes_dist=[float(x) for x in likes_dist],
         rouge_dist=[float(x) for x in rouge_dist],
         xent=xent,

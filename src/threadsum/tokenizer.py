@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from threadsum._kernels import pair_counts
-
 PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[BOS]", "[EOS]", "[SEP]", "[UNK]")
 _END = "</w>"
@@ -80,6 +78,16 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str], merged: str) ->
     return tuple(out)
 
 
+def _pair_counts(words: list[tuple[str, ...]], freqs: list[int]) -> dict[tuple[str, str], int]:
+    """Count adjacent symbol pairs over a weighted word list."""
+    counts: dict[tuple[str, str], int] = {}
+    for symbols, freq in zip(words, freqs):
+        for i in range(len(symbols) - 1):
+            pair = (symbols[i], symbols[i + 1])
+            counts[pair] = counts.get(pair, 0) + freq
+    return counts
+
+
 def _corpus_words(corpus, lowercase: bool) -> dict[str, int]:
     counts: dict[str, int] = {}
     for thread in corpus:
@@ -121,7 +129,7 @@ def train_vocab(corpus, vocab_size: int, min_freq: int = 1, lowercase: bool = Tr
     known = set(tokens)
     n_merges = 0
     while len(tokens) < vocab_size:
-        counts = pair_counts(words, freqs)
+        counts = _pair_counts(words, freqs)
         if not counts:
             break
         best_count = max(counts.values())

@@ -280,11 +280,6 @@ def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
     )
 
 
-def resume(checkpoint_path, expected_vocab_sha: str | None = None) -> TrainState:
-    """Reload a checkpoint for bit-identical continuation."""
-    return load_checkpoint(checkpoint_path, expected_vocab_sha)
-
-
 def train(
     corpus: list[CleanThread],
     vocab: Vocab,

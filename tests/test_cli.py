@@ -53,6 +53,23 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_removed_no_op_flags_exit_2(self):
+        required = {
+            "preprocess": ["--in", "i", "--out", "o"],
+            "build-vocab": ["--in", "i", "--out", "o"],
+            "train": ["--in", "i", "--vocab", "v", "--out-dir", "o"],
+            "summarize": ["--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o"],
+            "evaluate": ["--in", "i", "--vocab", "v", "--checkpoint", "c", "--out-dir", "o"],
+            "characterize": ["--reports", "r", "--out", "o"],
+        }
+        cases = [[command, *flags, "--threads", "2"] for command, flags in required.items()]
+        cases.append(["summarize", *required["summarize"], "--seed", "1"])
+        for argv in cases:
+            build_parser().parse_args(argv[:-2])  # valid without the removed flag
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
+
     def test_help_lists_spec_defaults(self, capsys):
         for command, expectations in {
             "preprocess": ["--min-words", "5"],

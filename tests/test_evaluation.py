@@ -10,9 +10,11 @@ import pytest
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum.evaluation import (
     MetricError,
+    _ngram_overlap,
     centroid_baseline,
     characterize,
     cross_entropy,
+    evaluate_thread,
     quartile_report,
     rouge_n,
     rouge_tokens,
@@ -47,6 +49,13 @@ def make_thread(comment_likes, thread_id="t"):
         title="some news title",
         comments=[CleanComment(text, likes) for text, likes in comment_likes],
     )
+
+
+class TestNgramOverlap:
+    def test_reference_values(self):
+        assert _ngram_overlap(list("abcab"), list("abd"), 2) == (1, 4, 2)
+        assert _ngram_overlap([], ["a"], 1) == (0, 0, 1)
+        assert _ngram_overlap(["a"], ["a"], 2) == (0, 0, 0)
 
 
 class TestRougeN:
@@ -172,6 +181,14 @@ class TestWeightedRecall:
             recalls = [rouge_n(summary, c.text, 1).recall for c in thread.comments]
             rw = weighted_recall(summary, thread)
             assert min(recalls) - 1e-12 <= rw <= max(recalls) + 1e-12
+            report = evaluate_thread(summary, summary, thread)
+            xent, likes_dist, rouge_dist = xent_rouge(summary, thread)
+            assert report.per_comment_rouge == recalls
+            assert report.xent == xent
+            assert report.likes_dist == likes_dist.tolist()
+            assert report.rouge_dist == rouge_dist.tolist()
+            assert report.recall_w == rw
+            assert report.title_rouge == title_rouge(summary, thread.title)
 
 
 class TestTitleRouge:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from threadsum.checkpoint import CheckpointError
+from threadsum.checkpoint import CheckpointError, write_tensors
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum.model import ModelConfig, attention_weights
 from threadsum.tokenizer import BOS, EOS, SEP, save_vocab, train_vocab, vocab_hash
@@ -19,7 +19,6 @@ from threadsum.training import (
     learning_rate,
     load_checkpoint,
     new_state,
-    resume,
     sample_comment_indices,
     sample_target,
     save_checkpoint,
@@ -285,6 +284,16 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "ck.tsck"
+        tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        write_tensors(path, {"step": 1}, tensors)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="unsupported tensor dtype"):
+            write_tensors(path, {"step": 2}, {**tensors, "ids": np.arange(3, dtype=np.int32)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.tsck"]
+
 
 class TestResume:
     def test_resume_matches_uninterrupted_run(self, small_setup, tmp_path):
@@ -307,7 +316,7 @@ class TestResume:
             TrainSchedule(max_steps=3, eval_every=3), seed=11,
             out_dir=str(resumed_dir), vocab_sha=sha,
         )
-        mid = resume(resumed_dir / "step00000003.tsck", expected_vocab_sha=sha)
+        mid = load_checkpoint(resumed_dir / "step00000003.tsck", expected_vocab_sha=sha)
         final = train(
             corpus, vocab, mid.variant, config, opt,
             TrainSchedule(max_steps=6, eval_every=3), seed=999,  # seed ignored on resume
