@@ -44,26 +44,39 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Config-file values fill in any flag still at its parser default."""
+    """Config-file values fill in any flag still at its parser default.
+
+    An unreadable file, a key that names no flag of the subcommand and a
+    value the flag would not accept are usage errors (exit 2).
+    """
     if not getattr(args, "config", None):
         return
     subparser: argparse.ArgumentParser = args._sub
-    values = _read_config_file(args.config)
+    try:
+        values = _read_config_file(args.config)
+    except OSError as exc:
+        subparser.error(f"cannot read config file {args.config}: {exc.strerror or exc}")
+    flags = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
     for key, raw in values.items():
-        if not hasattr(args, key) or key.startswith("_"):
-            continue
-        default = subparser.get_default(key)
-        if getattr(args, key) != default:
+        action = flags.get(key)
+        if action is None:
+            subparser.error(f"config file {args.config}: {key!r} names no option of {subparser.prog}")
+        if getattr(args, key) != action.default:
             continue  # explicit flag wins
-        if isinstance(default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(default, int):
-            setattr(args, key, int(raw))
-        elif isinstance(default, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+        try:
+            if isinstance(action.default, bool):
+                value = _BOOL_WORDS[raw.lower()]
+            else:
+                value = action.type(raw) if action.type else raw
+            if action.choices and value not in action.choices:
+                raise ValueError(raw)
+        except (KeyError, ValueError):
+            subparser.error(f"config file {args.config}: invalid value {raw!r} for {key!r}")
+        setattr(args, key, value)
 
 
 def _model_config(args, vocab_size: int) -> ModelConfig:

@@ -7,6 +7,10 @@ unbatched sequence of shape (T, d_model) at a time and averages gradients
 across examples instead of padding a batch.  The row-wise forwards
 (linear, layer norm, FFN, GELU, softmax) also take the (n_live, d_model)
 rows of incremental beam decoding, one row per live hypothesis.
+
+attend is the one scaled dot-product attention core: attention_fwd calls it
+on (heads, T, d_head) arrays, and incremental decoding on its cached keys
+and values.
 """
 
 from __future__ import annotations
@@ -100,8 +104,19 @@ def causal_mask(T: int, dtype=np.float64) -> np.ndarray:
     return mask
 
 
+def attend(q, k, v, mask=None):
+    """Scaled dot-product attention over the last two axes, for any leading
+    (head, row) axes: returns the probabilities softmax(q kᵀ / sqrt(d_head)
+    + mask) and the context, probabilities @ v.  mask is additive or None."""
+    s = q @ np.swapaxes(k, -1, -2) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        s = s + mask
+    probs = softmax(s, axis=-1)
+    return probs, probs @ v
+
+
 def attention_fwd(q_in, kv_in, p: dict, n_heads: int, mask=None):
-    """Multi-head scaled dot-product attention.
+    """Multi-head attention with input and output projections.
 
     q_in (Tq, d) provides queries, kv_in (Tk, d) keys and values; mask is an
     additive (Tq, Tk) array or None.
@@ -110,20 +125,15 @@ def attention_fwd(q_in, kv_in, p: dict, n_heads: int, mask=None):
     K, c_k = linear_fwd(kv_in, p["Wk"], p["bk"])
     V, c_v = linear_fwd(kv_in, p["Wv"], p["bv"])
     Qh, Kh, Vh = (_split_heads(m, n_heads) for m in (Q, K, V))
-    scale = 1.0 / math.sqrt(Qh.shape[-1])
-    S = Qh @ Kh.transpose(0, 2, 1) * scale
-    if mask is not None:
-        S = S + mask
-    P = softmax(S, axis=-1)
-    Ch = P @ Vh
-    C = _merge_heads(Ch)
-    out, c_o = linear_fwd(C, p["Wo"], p["bo"])
-    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, P, scale, n_heads)
+    P, Ch = attend(Qh, Kh, Vh, mask)
+    out, c_o = linear_fwd(_merge_heads(Ch), p["Wo"], p["bo"])
+    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, P, n_heads)
 
 
 def attention_bwd(dout, cache):
     """Returns (d_q_in, d_kv_in, param grads dict)."""
-    c_q, c_k, c_v, c_o, Qh, Kh, Vh, P, scale, n_heads = cache
+    c_q, c_k, c_v, c_o, Qh, Kh, Vh, P, n_heads = cache
+    scale = 1.0 / math.sqrt(Qh.shape[-1])
     dC, dWo, dbo = linear_bwd(dout, c_o)
     dCh = _split_heads(dC, n_heads)
     dP = dCh @ Vh.transpose(0, 2, 1)

@@ -5,6 +5,11 @@ every encoded token is multiplied elementwise by the attention weight of the
 text it came from: 1 for the title, sqrt(likes / max likes) for a comment.
 The decoder cross-attends over this scaled encoding.
 
+Every block is a sequence of post-LN residual sublayers, listed once per
+block kind in BLOCK_LAYOUT; init_params, the training forward and backward
+passes (_block_fwd/_block_bwd under _stack_fwd/_stack_bwd) and
+IncrementalDecoder all walk that table.
+
 All forward passes also produce caches so that forward_loss can run an
 exact hand-written backward pass; gradients are validated against central
 finite differences in the test suite.  IncrementalDecoder, used by beam
@@ -78,9 +83,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def n_parameters(self) -> int:
-        return sum(int(v.size) for v in self.tensors.values())
-
 
 @dataclass(frozen=True)
 class AttentionWeights:
@@ -94,6 +96,17 @@ class AttentionWeights:
 class EncodedThread:
     enc: np.ndarray      # (seq_len, d_model)
     enc_att: np.ndarray  # attention-scaled encoding, same shape
+
+
+# Each block kind's sublayers in the order they are applied, as (parameter
+# prefix, layer-norm name) pairs; each sublayer f is wrapped post-LN,
+# x = LayerNorm(x + Dropout(f(x))).  "self" is self-attention (causal in the
+# decoder), "cross" attends over the scaled encoding, "ffn" is the GELU FFN.
+# Block i of config.n_{kind}_blocks names its tensors {kind}{i}.self.Wq etc.
+BLOCK_LAYOUT = {
+    "enc": (("self", "ln1"), ("ffn", "ln2")),
+    "dec": (("self", "ln1"), ("cross", "ln2"), ("ffn", "ln3")),
+}
 
 
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
@@ -135,18 +148,11 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelPa
         ones(f"{name}_g", d)
         zeros(f"{name}_b", d)
 
-    for i in range(config.n_enc_blocks):
-        attention(f"enc{i}.self")
-        norm(f"enc{i}.ln1")
-        ffn(f"enc{i}.ffn")
-        norm(f"enc{i}.ln2")
-    for i in range(config.n_dec_blocks):
-        attention(f"dec{i}.self")
-        norm(f"dec{i}.ln1")
-        attention(f"dec{i}.cross")
-        norm(f"dec{i}.ln2")
-        ffn(f"dec{i}.ffn")
-        norm(f"dec{i}.ln3")
+    for kind, layout in BLOCK_LAYOUT.items():
+        for i in range(getattr(config, f"n_{kind}_blocks")):
+            for sub, ln in layout:
+                (ffn if sub == "ffn" else attention)(f"{kind}{i}.{sub}")
+                norm(f"{kind}{i}.{ln}")
     w("lm_W", (d, V))
     zeros("lm_b", V)
     return ModelParams(config=config, tensors=tensors)
@@ -221,122 +227,66 @@ def _acc(grads, name, value):
         grads[name] = value
 
 
-def _acc_prefixed(grads, prefix, sub_grads):
-    for key, value in sub_grads.items():
-        _acc(grads, prefix + key, value)
-
-
-def _enc_block_fwd(x, tensors, pfx, n_heads, p_drop, rng):
-    a, c_att = layers.attention_fwd(x, x, _sub(tensors, f"{pfx}.self."), n_heads)
-    a, m1 = layers.dropout_fwd(a, p_drop, rng)
-    x1, c_ln1 = layers.layer_norm_fwd(x + a, tensors[f"{pfx}.ln1_g"], tensors[f"{pfx}.ln1_b"])
-    f, c_ffn = layers.ffn_fwd(x1, _sub(tensors, f"{pfx}.ffn."))
-    f, m2 = layers.dropout_fwd(f, p_drop, rng)
-    x2, c_ln2 = layers.layer_norm_fwd(x1 + f, tensors[f"{pfx}.ln2_g"], tensors[f"{pfx}.ln2_b"])
-    return x2, (c_att, m1, c_ln1, c_ffn, m2, c_ln2)
-
-
-def _enc_block_bwd(dout, cache, pfx, grads):
-    c_att, m1, c_ln1, c_ffn, m2, c_ln2 = cache
-    dres2, dg2, db2 = layers.layer_norm_bwd(dout, c_ln2)
-    _acc(grads, f"{pfx}.ln2_g", dg2)
-    _acc(grads, f"{pfx}.ln2_b", db2)
-    df = layers.dropout_bwd(dres2, m2)
-    dx1_ffn, ffn_grads = layers.ffn_bwd(df, c_ffn)
-    _acc_prefixed(grads, f"{pfx}.ffn.", ffn_grads)
-    dx1 = dres2 + dx1_ffn
-    dres1, dg1, db1 = layers.layer_norm_bwd(dx1, c_ln1)
-    _acc(grads, f"{pfx}.ln1_g", dg1)
-    _acc(grads, f"{pfx}.ln1_b", db1)
-    da = layers.dropout_bwd(dres1, m1)
-    dq, dkv, att_grads = layers.attention_bwd(da, c_att)
-    _acc_prefixed(grads, f"{pfx}.self.", att_grads)
-    return dres1 + dq + dkv
-
-
-def _dec_block_fwd(y, enc_att, tensors, pfx, n_heads, mask, p_drop, rng):
-    a, c_self = layers.attention_fwd(y, y, _sub(tensors, f"{pfx}.self."), n_heads, mask=mask)
-    a, m1 = layers.dropout_fwd(a, p_drop, rng)
-    y1, c_ln1 = layers.layer_norm_fwd(y + a, tensors[f"{pfx}.ln1_g"], tensors[f"{pfx}.ln1_b"])
-    c, c_cross = layers.attention_fwd(y1, enc_att, _sub(tensors, f"{pfx}.cross."), n_heads)
-    c, m2 = layers.dropout_fwd(c, p_drop, rng)
-    y2, c_ln2 = layers.layer_norm_fwd(y1 + c, tensors[f"{pfx}.ln2_g"], tensors[f"{pfx}.ln2_b"])
-    f, c_ffn = layers.ffn_fwd(y2, _sub(tensors, f"{pfx}.ffn."))
-    f, m3 = layers.dropout_fwd(f, p_drop, rng)
-    y3, c_ln3 = layers.layer_norm_fwd(y2 + f, tensors[f"{pfx}.ln3_g"], tensors[f"{pfx}.ln3_b"])
-    return y3, (c_self, m1, c_ln1, c_cross, m2, c_ln2, c_ffn, m3, c_ln3)
-
-
-def _dec_block_bwd(dout, cache, pfx, grads):
-    """Returns (dy, d_enc_att) for one decoder block."""
-    c_self, m1, c_ln1, c_cross, m2, c_ln2, c_ffn, m3, c_ln3 = cache
-    dres3, dg3, db3 = layers.layer_norm_bwd(dout, c_ln3)
-    _acc(grads, f"{pfx}.ln3_g", dg3)
-    _acc(grads, f"{pfx}.ln3_b", db3)
-    df = layers.dropout_bwd(dres3, m3)
-    dy2_ffn, ffn_grads = layers.ffn_bwd(df, c_ffn)
-    _acc_prefixed(grads, f"{pfx}.ffn.", ffn_grads)
-    dy2 = dres3 + dy2_ffn
-    dres2, dg2, db2 = layers.layer_norm_bwd(dy2, c_ln2)
-    _acc(grads, f"{pfx}.ln2_g", dg2)
-    _acc(grads, f"{pfx}.ln2_b", db2)
-    dc = layers.dropout_bwd(dres2, m2)
-    dy1_cross, d_enc_att, cross_grads = layers.attention_bwd(dc, c_cross)
-    _acc_prefixed(grads, f"{pfx}.cross.", cross_grads)
-    dy1 = dres2 + dy1_cross
-    dres1, dg1, db1 = layers.layer_norm_bwd(dy1, c_ln1)
-    _acc(grads, f"{pfx}.ln1_g", dg1)
-    _acc(grads, f"{pfx}.ln1_b", db1)
-    da = layers.dropout_bwd(dres1, m1)
-    dq, dkv, self_grads = layers.attention_bwd(da, c_self)
-    _acc_prefixed(grads, f"{pfx}.self.", self_grads)
-    return dres1 + dq + dkv, d_enc_att
-
-
-def _encoder_fwd(params, ids, p_drop=0.0, rng=None):
-    cfg = params.config
-    x, c_emb = _embed_fwd(params.tensors, ids, "enc_emb_ln", p_drop, rng)
+def _block_fwd(x, params, pfx, layout, mask, memory, p_drop, rng):
+    tensors, n_heads = params.tensors, params.config.n_heads
     caches = []
-    for i in range(cfg.n_enc_blocks):
-        x, cache = _enc_block_fwd(x, params.tensors, f"enc{i}", cfg.n_heads, p_drop, rng)
+    for sub, ln in layout:
+        p = _sub(tensors, f"{pfx}.{sub}.")
+        if sub == "ffn":
+            f, c_f = layers.ffn_fwd(x, p)
+        elif sub == "self":
+            f, c_f = layers.attention_fwd(x, x, p, n_heads, mask=mask)
+        else:
+            f, c_f = layers.attention_fwd(x, memory, p, n_heads)
+        f, m = layers.dropout_fwd(f, p_drop, rng)
+        x, c_ln = layers.layer_norm_fwd(x + f, tensors[f"{pfx}.{ln}_g"], tensors[f"{pfx}.{ln}_b"])
+        caches.append((c_f, m, c_ln))
+    return x, caches
+
+
+def _block_bwd(dout, caches, pfx, layout, grads):
+    """Returns (dx, d_memory); d_memory is None for a block without "cross"."""
+    d_memory = None
+    for (sub, ln), (c_f, m, c_ln) in zip(reversed(layout), reversed(caches)):
+        dres, dg, db = layers.layer_norm_bwd(dout, c_ln)
+        _acc(grads, f"{pfx}.{ln}_g", dg)
+        _acc(grads, f"{pfx}.{ln}_b", db)
+        df = layers.dropout_bwd(dres, m)
+        if sub == "ffn":
+            dx, sub_grads = layers.ffn_bwd(df, c_f)
+            dout = dres + dx
+        elif sub == "self":
+            dq, dkv, sub_grads = layers.attention_bwd(df, c_f)
+            dout = dres + dq + dkv
+        else:
+            dq, d_memory, sub_grads = layers.attention_bwd(df, c_f)
+            dout = dres + dq
+        for key, value in sub_grads.items():
+            _acc(grads, f"{pfx}.{sub}.{key}", value)
+    return dout, d_memory
+
+
+def _stack_fwd(params, kind, ids, memory=None, p_drop=0.0, rng=None):
+    """Embedding plus the blocks of the encoder ("enc") or of the causal
+    decoder ("dec"), which cross-attends over memory."""
+    x, c_emb = _embed_fwd(params.tensors, ids, f"{kind}_emb_ln", p_drop, rng)
+    mask = layers.causal_mask(len(ids), dtype=x.dtype) if kind == "dec" else None
+    caches = []
+    for i in range(getattr(params.config, f"n_{kind}_blocks")):
+        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], mask, memory, p_drop, rng)
         caches.append(cache)
     return x, (c_emb, caches)
 
 
-def _encoder_bwd(d_enc, enc_cache, params, grads):
-    c_emb, caches = enc_cache
-    dx = d_enc
-    for i in reversed(range(params.config.n_enc_blocks)):
-        dx = _enc_block_bwd(dx, caches[i], f"enc{i}", grads)
-    _embed_bwd(dx, c_emb, "enc_emb_ln", grads, params.tensors)
-
-
-def _decoder_fwd(params, enc_att, ids, p_drop=0.0, rng=None):
-    cfg = params.config
-    y, c_emb = _embed_fwd(params.tensors, ids, "dec_emb_ln", p_drop, rng)
-    mask = layers.causal_mask(len(ids), dtype=y.dtype)
-    caches = []
-    for i in range(cfg.n_dec_blocks):
-        y, cache = _dec_block_fwd(
-            y, enc_att, params.tensors, f"dec{i}", cfg.n_heads, mask, p_drop, rng
-        )
-        caches.append(cache)
-    logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
-    return logits, (c_emb, caches, c_lm)
-
-
-def _decoder_bwd(dlogits, dec_cache, params, grads):
-    """Returns the gradient with respect to enc_att."""
-    c_emb, caches, c_lm = dec_cache
-    dy, dW, db = layers.linear_bwd(dlogits, c_lm)
-    _acc(grads, "lm_W", dW)
-    _acc(grads, "lm_b", db)
-    d_enc_att = None
-    for i in reversed(range(params.config.n_dec_blocks)):
-        dy, d_enc_i = _dec_block_bwd(dy, caches[i], f"dec{i}", grads)
-        d_enc_att = d_enc_i if d_enc_att is None else d_enc_att + d_enc_i
-    _embed_bwd(dy, c_emb, "dec_emb_ln", grads, params.tensors)
-    return d_enc_att
+def _stack_bwd(dx, stack_cache, params, kind, grads):
+    """Returns the gradient with respect to memory (None for the encoder)."""
+    c_emb, caches = stack_cache
+    d_memory = None
+    for i in reversed(range(len(caches))):
+        dx, d_mem_i = _block_bwd(dx, caches[i], f"{kind}{i}", BLOCK_LAYOUT[kind], grads)
+        d_memory = d_mem_i if d_memory is None else d_memory + d_mem_i
+    _embed_bwd(dx, c_emb, f"{kind}_emb_ln", grads, params.tensors)
+    return d_memory
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +305,7 @@ def encode_thread(
         raise ModelError("cannot encode an empty token sequence")
     if len(seq.ids) > params.config.max_len:
         raise ModelError(f"sequence of {len(seq.ids)} ids exceeds max_len {params.config.max_len}")
-    enc, _ = _encoder_fwd(params, seq.ids)
+    enc, _ = _stack_fwd(params, "enc", seq.ids)
     if disable_attention:
         return EncodedThread(enc=enc, enc_att=enc)
     tokw = token_weights(seq, weights).astype(enc.dtype)
@@ -364,7 +314,8 @@ def encode_thread(
 
 def decoder_logits(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) -> np.ndarray:
     """Teacher-forced logits for every prefix position, shape (len(prefix), V)."""
-    logits, _ = _decoder_fwd(params, enc_att, list(prefix))
+    y, _ = _stack_fwd(params, "dec", list(prefix), enc_att)
+    logits, _ = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
     return logits
 
 
@@ -378,19 +329,6 @@ def decode_step(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) -> 
         raise ModelError(f"prefix of {len(prefix)} ids too long for max_len {params.config.max_len}")
     logits = decoder_logits(params, enc_att, prefix)
     return layers.softmax(logits[-1].astype(np.float64))
-
-
-@dataclass(frozen=True)
-class _CachedDecBlock:
-    """One decoder block's parameter views, with its cross-attention keys
-    and values already projected from the encoding and split into heads."""
-
-    self_p: dict[str, np.ndarray]
-    cross_p: dict[str, np.ndarray]
-    cross_k: np.ndarray  # (heads, enc_len, d_head)
-    cross_v: np.ndarray
-    ffn_p: dict[str, np.ndarray]
-    lns: tuple  # (gamma, beta) of ln1, ln2, ln3
 
 
 class IncrementalDecoder:
@@ -419,20 +357,19 @@ class IncrementalDecoder:
         self.pos_emb = t["pos_emb"]
         self.emb_ln = (t["dec_emb_ln_g"], t["dec_emb_ln_b"])
         self.lm = (t["lm_W"], t["lm_b"])
+        # per block: (sublayer, parameter views, layer-norm (gamma, beta)) in
+        # BLOCK_LAYOUT order, and the (heads, enc_len, d_head) cross keys, values
         self.blocks = []
+        self.cross_kv = []
         for i in range(cfg.n_dec_blocks):
             pfx = f"dec{i}"
-            cross_p = _sub(t, f"{pfx}.cross.")
-            k, _ = layers.linear_fwd(enc_att, cross_p["Wk"], cross_p["bk"])
-            v, _ = layers.linear_fwd(enc_att, cross_p["Wv"], cross_p["bv"])
-            self.blocks.append(_CachedDecBlock(
-                self_p=_sub(t, f"{pfx}.self."),
-                cross_p=cross_p,
-                cross_k=layers._split_heads(k, self.n_heads),
-                cross_v=layers._split_heads(v, self.n_heads),
-                ffn_p=_sub(t, f"{pfx}.ffn."),
-                lns=tuple((t[f"{pfx}.ln{j}_g"], t[f"{pfx}.ln{j}_b"]) for j in (1, 2, 3)),
-            ))
+            self.blocks.append([
+                (sub, _sub(t, f"{pfx}.{sub}."), (t[f"{pfx}.{ln}_g"], t[f"{pfx}.{ln}_b"]))
+                for sub, ln in BLOCK_LAYOUT["dec"]
+            ])
+            k, _ = layers.linear_fwd(enc_att, t[f"{pfx}.cross.Wk"], t[f"{pfx}.cross.bk"])
+            v, _ = layers.linear_fwd(enc_att, t[f"{pfx}.cross.Wv"], t[f"{pfx}.cross.bv"])
+            self.cross_kv.append((layers._split_heads(k, self.n_heads), layers._split_heads(v, self.n_heads)))
         d_head = cfg.d_model // cfg.n_heads
         empty = np.zeros((1, self.n_heads, 0, d_head), dtype=params.dtype)
         self._rows: dict[tuple[int, ...], int] = {(): 0}
@@ -460,45 +397,31 @@ class IncrementalDecoder:
 
         y = self.tok_emb[[p[-1] for p in prefixes]] + self.pos_emb[length - 1]
         y, _ = layers.layer_norm_fwd(y, *self.emb_ln)
+        n, d = y.shape
+        heads = (n, self.n_heads, 1, d // self.n_heads)  # one new position per row
         kv = []
-        for blk, (k_past, v_past) in zip(self.blocks, self._kv):
-            a, k, v = self._self_attention(y, blk.self_p, k_past[parents], v_past[parents])
-            kv.append((k, v))
-            y, _ = layers.layer_norm_fwd(y + a, *blk.lns[0])
-            c = self._cross_attention(y, blk)
-            y, _ = layers.layer_norm_fwd(y + c, *blk.lns[1])
-            f, _ = layers.ffn_fwd(y, blk.ffn_p)
-            y, _ = layers.layer_norm_fwd(y + f, *blk.lns[2])
+        for block, (k_enc, v_enc), (k_past, v_past) in zip(self.blocks, self.cross_kv, self._kv):
+            for sub, p, ln in block:
+                if sub == "ffn":
+                    f, _ = layers.ffn_fwd(y, p)
+                elif sub == "self":
+                    q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
+                    k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])
+                    v, _ = layers.linear_fwd(y, p["Wv"], p["bv"])
+                    k = np.concatenate((k_past[parents], k.reshape(heads)), axis=2)
+                    v = np.concatenate((v_past[parents], v.reshape(heads)), axis=2)
+                    kv.append((k, v))
+                    _, ctx = layers.attend(q.reshape(heads), k, v)
+                    f, _ = layers.linear_fwd(ctx.reshape(n, d), p["Wo"], p["bo"])
+                else:
+                    q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
+                    _, ctx = layers.attend(layers._split_heads(q, self.n_heads), k_enc, v_enc)
+                    f, _ = layers.linear_fwd(layers._merge_heads(ctx), p["Wo"], p["bo"])
+                y, _ = layers.layer_norm_fwd(y + f, *ln)
         self._kv = kv
         self._rows = {p: row for row, p in enumerate(prefixes)}
         logits, _ = layers.linear_fwd(y, *self.lm)
         return layers.softmax(logits.astype(np.float64))
-
-    def _self_attention(self, y, p, k_past, v_past):
-        """Attention of each row's new position over its own prefix; returns
-        (output, keys, values) with the new position appended."""
-        n, d = y.shape
-        heads = (n, self.n_heads, 1, d // self.n_heads)
-        q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
-        k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])
-        v, _ = layers.linear_fwd(y, p["Wv"], p["bv"])
-        k = np.concatenate((k_past, k.reshape(heads)), axis=2)
-        v = np.concatenate((v_past, v.reshape(heads)), axis=2)
-        scale = 1.0 / math.sqrt(heads[-1])
-        s = q.reshape(heads) @ k.transpose(0, 1, 3, 2) * scale
-        ctx = layers.softmax(s, axis=-1) @ v
-        out, _ = layers.linear_fwd(ctx.reshape(n, d), p["Wo"], p["bo"])
-        return out, k, v
-
-    def _cross_attention(self, y, blk):
-        p = blk.cross_p
-        q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
-        qh = layers._split_heads(q, self.n_heads)
-        scale = 1.0 / math.sqrt(qh.shape[-1])
-        s = qh @ blk.cross_k.transpose(0, 2, 1) * scale
-        ctx = layers._merge_heads(layers.softmax(s, axis=-1) @ blk.cross_v)
-        out, _ = layers.linear_fwd(ctx, p["Wo"], p["bo"])
-        return out
 
 
 def _smoothed_targets(gold: np.ndarray, mask: np.ndarray, vocab_size: int, eps: float, dtype):
@@ -519,7 +442,6 @@ def forward_loss(
     seq: TokenSeq,
     weights: AttentionWeights,
     target: list[int],
-    config: ModelConfig | None = None,
     disable_attention: bool = False,
     rng=None,
 ):
@@ -528,7 +450,7 @@ def forward_loss(
     Positions whose gold token is [PAD] are excluded from the mean.  Returns
     (loss, gradient dict shaped like params.tensors).
     """
-    cfg = config or params.config
+    cfg = params.config
     target = list(target)
     if len(target) < 2 or target[0] != BOS or target[-1] != EOS:
         raise ModelError("target must start with [BOS] and end with [EOS]")
@@ -536,9 +458,7 @@ def forward_loss(
         raise ModelError(f"target of {len(target)} ids exceeds max_len {cfg.max_len}")
 
     p_drop = cfg.dropout if rng is not None else 0.0
-    grads: dict[str, np.ndarray] = {}
-
-    enc, enc_cache = _encoder_fwd(params, seq.ids, p_drop, rng)
+    enc, enc_cache = _stack_fwd(params, "enc", seq.ids, p_drop=p_drop, rng=rng)
     if disable_attention:
         enc_att = enc
         tokw = None
@@ -548,7 +468,8 @@ def forward_loss(
 
     dec_in = target[:-1]
     gold = np.asarray(target[1:])
-    logits, dec_cache = _decoder_fwd(params, enc_att, dec_in, p_drop, rng)
+    y, dec_cache = _stack_fwd(params, "dec", dec_in, enc_att, p_drop, rng)
+    logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
 
     # loss: mean over non-PAD positions of KL(smoothed one-hot || softmax);
     # non-finiteness is checked explicitly, so let nan/inf propagate quietly
@@ -571,9 +492,11 @@ def forward_loss(
     dlogits[~mask] = 0.0
     dlogits = dlogits.astype(logits.dtype)
 
-    d_enc_att = _decoder_bwd(dlogits, dec_cache, params, grads)
+    grads: dict[str, np.ndarray] = {}
+    dy, grads["lm_W"], grads["lm_b"] = layers.linear_bwd(dlogits, c_lm)
+    d_enc_att = _stack_bwd(dy, dec_cache, params, "dec", grads)
     d_enc = d_enc_att if disable_attention else d_enc_att * tokw[:, None]
-    _encoder_bwd(d_enc, enc_cache, params, grads)
+    _stack_bwd(d_enc, enc_cache, params, "enc", grads)
 
     for name in params.tensors:
         if name not in grads:

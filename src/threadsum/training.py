@@ -71,13 +71,16 @@ def get_variant(variant_id: int) -> TaskVariant:
     return VARIANTS[variant_id]
 
 
+# Adam moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.998
+ADAM_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     lr_peak: float = 3e-4
     warmup_steps: int = 400
-    beta1: float = 0.9
-    beta2: float = 0.998
-    eps: float = 1e-9
     batch_size: int = 8
     clip_norm: float = 1.0  # 0 disables clipping
 
@@ -193,17 +196,17 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: Optimizer
             grads = {k: g * scale for k, g in grads.items()}
     t = state.step
     lr = learning_rate(t, opt)
-    bias1 = 1.0 - opt.beta1**t
-    bias2 = 1.0 - opt.beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for name, tensor in state.params.tensors.items():
         g = grads[name]
         m = state.adam_m[name]
         v = state.adam_v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + opt.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         tensor -= (lr * update).astype(tensor.dtype)
 
 

@@ -98,6 +98,42 @@ class TestConfigFile:
         assert args.min_words == 7  # filled from file
         assert args.seed == 9  # explicit flag wins
 
+    def test_values_are_typed(self, tmp_path):
+        from threadsum.cli import _apply_config_file
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beam-size = 9\nlength_penalty_alpha = 0.25\nprovide_likes = yes\nfold = all\n")
+        args = build_parser().parse_args(
+            ["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o", "--config", str(cfg)]
+        )
+        _apply_config_file(args)
+        assert (args.beam_size, args.length_penalty_alpha, args.provide_likes, args.fold) == (9, 0.25, True, "all")
+
+    @pytest.mark.parametrize("text, named", [
+        ("beam_sise = 9\n", "'beam_sise'"),  # names no flag
+        ("seed = 3\n", "'seed'"),  # a flag of another subcommand only
+        ("beam_size = five\n", "'five'"),
+        ("max_out_len = 6.5\n", "'max_out_len'"),
+        ("provide_likes = maybe\n", "'maybe'"),
+        ("fold = everything\n", "'fold'"),
+    ])
+    def test_bad_key_or_value_exits_2(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o",
+                  "--config", str(cfg)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert named in message and str(cfg) in message
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as err:
+            main(["preprocess", "--in", "i", "--out", "o", "--config", str(missing)])
+        assert err.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

@@ -257,7 +257,7 @@ class TestForwardLoss:
         cross-entropy is exactly ln(vocab_size)."""
         cfg = ModelConfig(**{**TINY.__dict__, "label_smoothing": 0.0})
         zero = ModelParams(cfg, {k: np.zeros_like(v) for k, v in self.params.tensors.items()})
-        loss, _ = forward_loss(zero, self.seq, self.weights, self.target, config=cfg)
+        loss, _ = forward_loss(zero, self.seq, self.weights, self.target)
         assert abs(loss - math.log(TINY.vocab_size)) < 1e-9
 
     def test_matches_independent_formula(self):
@@ -355,6 +355,33 @@ class TestDeterminism:
         b = init_params(TINY, seed=11)
         for name in a.tensors:
             np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+    def test_tensor_names_in_init_order(self):
+        """The init order fixes the rng draws of every tensor and the byte
+        layout of a checkpoint, so it is pinned name by name."""
+        config = ModelConfig(vocab_size=10, d_model=8, n_enc_blocks=2, n_dec_blocks=2, n_heads=2, d_ff=16)
+        assert list(init_params(config).tensors) == [
+            "tok_emb", "pos_emb", "enc_emb_ln_g", "enc_emb_ln_b", "dec_emb_ln_g", "dec_emb_ln_b",
+            "enc0.self.Wq", "enc0.self.Wk", "enc0.self.Wv", "enc0.self.Wo",
+            "enc0.self.bq", "enc0.self.bk", "enc0.self.bv", "enc0.self.bo",
+            "enc0.ln1_g", "enc0.ln1_b", "enc0.ffn.W1", "enc0.ffn.b1", "enc0.ffn.W2", "enc0.ffn.b2",
+            "enc0.ln2_g", "enc0.ln2_b",
+            "enc1.self.Wq", "enc1.self.Wk", "enc1.self.Wv", "enc1.self.Wo",
+            "enc1.self.bq", "enc1.self.bk", "enc1.self.bv", "enc1.self.bo",
+            "enc1.ln1_g", "enc1.ln1_b", "enc1.ffn.W1", "enc1.ffn.b1", "enc1.ffn.W2", "enc1.ffn.b2",
+            "enc1.ln2_g", "enc1.ln2_b",
+            "dec0.self.Wq", "dec0.self.Wk", "dec0.self.Wv", "dec0.self.Wo",
+            "dec0.self.bq", "dec0.self.bk", "dec0.self.bv", "dec0.self.bo", "dec0.ln1_g", "dec0.ln1_b",
+            "dec0.cross.Wq", "dec0.cross.Wk", "dec0.cross.Wv", "dec0.cross.Wo",
+            "dec0.cross.bq", "dec0.cross.bk", "dec0.cross.bv", "dec0.cross.bo", "dec0.ln2_g", "dec0.ln2_b",
+            "dec0.ffn.W1", "dec0.ffn.b1", "dec0.ffn.W2", "dec0.ffn.b2", "dec0.ln3_g", "dec0.ln3_b",
+            "dec1.self.Wq", "dec1.self.Wk", "dec1.self.Wv", "dec1.self.Wo",
+            "dec1.self.bq", "dec1.self.bk", "dec1.self.bv", "dec1.self.bo", "dec1.ln1_g", "dec1.ln1_b",
+            "dec1.cross.Wq", "dec1.cross.Wk", "dec1.cross.Wv", "dec1.cross.Wo",
+            "dec1.cross.bq", "dec1.cross.bk", "dec1.cross.bv", "dec1.cross.bo", "dec1.ln2_g", "dec1.ln2_b",
+            "dec1.ffn.W1", "dec1.ffn.b1", "dec1.ffn.W2", "dec1.ffn.b2", "dec1.ln3_g", "dec1.ln3_b",
+            "lm_W", "lm_b",
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ModelError, match="divisible"):
