@@ -33,12 +33,16 @@ from threadsum.training import (
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    """key = value lines; blank lines and # comments are skipped.  Any other
+    line raises ValueError naming its line number."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"line {number}: {line!r} is not key = value")
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -50,8 +54,9 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Config-file values fill in any flag still at its parser default.
 
-    An unreadable file, a key that names no flag of the subcommand and a
-    value the flag would not accept are usage errors (exit 2).
+    An unreadable file, a line that is not key = value, a key that names no
+    flag of the subcommand and a value the flag would not accept are usage
+    errors (exit 2).
     """
     if not getattr(args, "config", None):
         return
@@ -60,6 +65,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         values = _read_config_file(args.config)
     except OSError as exc:
         subparser.error(f"cannot read config file {args.config}: {exc.strerror or exc}")
+    except ValueError as exc:
+        subparser.error(f"config file {args.config}: {exc}")
     flags = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
     for key, raw in values.items():
         action = flags.get(key)

@@ -8,6 +8,11 @@ across examples instead of padding a batch.  The row-wise forwards
 (linear, layer norm, FFN, GELU, softmax) also take the (n_live, d_model)
 rows of incremental beam decoding, one row per live hypothesis.
 
+Every pair keeps its input's dtype: float32 activations give float32
+outputs, caches and gradients, float64 (the finite-difference checks)
+float64.  Constants are Python scalars and dropout builds its mask in the
+input's dtype, so nothing upcasts a float32 training step.
+
 attend is the one scaled dot-product attention core: attention_fwd calls it
 on (heads, T, d_head) arrays, and incremental decoding on its cached keys
 and values.
@@ -76,10 +81,15 @@ def gelu_bwd(dout, cache):
 
 
 def dropout_fwd(x, p: float, rng):
-    """Inverted dropout; identity (and no rng draw) when p == 0 or rng is None."""
+    """Inverted dropout; identity (and no rng draw) when p == 0 or rng is None.
+
+    The keep draw is float64 at every dtype, so the dropped positions depend
+    only on the rng state; the mask, and so the output, is in x's dtype.
+    """
     if p <= 0.0 or rng is None:
         return x, None
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep = rng.random(x.shape) >= p
+    mask = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
     return x * mask, mask
 
 

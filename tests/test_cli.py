@@ -127,6 +127,16 @@ class TestConfigFile:
         message = capsys.readouterr().err
         assert named in message and str(cfg) in message
 
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# beam settings\n\nbeam_size 9\n")
+        with pytest.raises(SystemExit) as err:
+            main(["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o",
+                  "--config", str(cfg)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert str(cfg) in message and "line 3" in message and "'beam_size 9'" in message
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         with pytest.raises(SystemExit) as err:

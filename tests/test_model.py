@@ -388,3 +388,60 @@ class TestDeterminism:
             ModelConfig(vocab_size=10, d_model=10, n_heads=4)
         with pytest.raises(ModelError, match="label_smoothing"):
             ModelConfig(vocab_size=10, label_smoothing=1.0)
+
+
+def _arrays(item):
+    """The arrays of a layer's output: nested tuples and dicts flattened."""
+    if isinstance(item, dict):
+        item = tuple(item.values())
+    if isinstance(item, tuple):
+        for part in item:
+            yield from _arrays(part)
+    else:
+        yield item
+
+
+class TestDtype:
+    """Every layer keeps its input's dtype, so float32 parameters train in
+    float32 and the float64 gradient checks stay in float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_pairs_keep_dtype(self, dtype):
+        rng = np.random.default_rng(12)
+        T, d, ff, heads = 5, 8, 16, 2
+
+        def rand(*shape):
+            return rng.normal(size=shape).astype(dtype)
+
+        x, dout = rand(T, d), rand(T, d)
+        attn = {f"W{n}": rand(d, d) for n in "qkvo"} | {f"b{n}": rand(d) for n in "qkvo"}
+        ffn = {"W1": rand(d, ff), "b1": rand(ff), "W2": rand(ff, d), "b2": rand(d)}
+        mask = layers.causal_mask(T, dtype=dtype)
+        pairs = {
+            "linear": (layers.linear_fwd(x, rand(d, d), rand(d)), layers.linear_bwd),
+            "layer_norm": (layers.layer_norm_fwd(x, rand(d), rand(d)), layers.layer_norm_bwd),
+            "gelu": (layers.gelu_fwd(x), layers.gelu_bwd),
+            "ffn": (layers.ffn_fwd(x, ffn), layers.ffn_bwd),
+            "attention": (layers.attention_fwd(x, rand(3, d), attn, heads), layers.attention_bwd),
+            "self_attention": (layers.attention_fwd(x, x, attn, heads, mask=mask), layers.attention_bwd),
+            "dropout": (layers.dropout_fwd(x, 0.25, rng), layers.dropout_bwd),
+        }
+        for name, ((out, cache), bwd) in pairs.items():
+            arrays = list(_arrays((out, bwd(dout, cache))))
+            assert {g.dtype for g in arrays} == {np.dtype(dtype)}, name
+        assert layers.softmax(x).dtype == dtype
+
+    def test_forward_loss_with_dropout_gives_float32_gradients(self):
+        config = ModelConfig(**{**TINY.__dict__, "dropout": 0.1})
+        params = init_params(config, seed=13)
+        seq, weights, target = tiny_inputs(np.random.default_rng(14))
+        _, grads = forward_loss(params, seq, weights, target, rng=np.random.default_rng(15))
+        assert {name: g.dtype for name, g in grads.items()} == {name: np.dtype(np.float32) for name in params.tensors}
+
+    def test_float64_dropout_equals_the_float64_mask_bit_for_bit(self):
+        x = np.random.default_rng(16).normal(size=(7, 11))
+        for p in (0.1, 0.25, 0.5):
+            out, mask = layers.dropout_fwd(x, p, np.random.default_rng(17))
+            expected_mask = (np.random.default_rng(17).random(x.shape) >= p) / (1.0 - p)
+            np.testing.assert_array_equal(mask, expected_mask)
+            np.testing.assert_array_equal(out, x * expected_mask)
