@@ -12,6 +12,7 @@ characterize).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -84,6 +85,20 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         except (KeyError, ValueError):
             subparser.error(f"config file {args.config}: invalid value {raw!r} for {key!r}")
         setattr(args, key, value)
+
+
+@contextlib.contextmanager
+def _replace_when_done(path: str, newline: str | None = None):
+    """Write through <path>.tmp and move it over path only when the block
+    completes, so a failure leaves the previous file as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the block raised before the rename
+            os.remove(tmp)
 
 
 def _model_config(args, vocab_size: int) -> ModelConfig:
@@ -258,7 +273,7 @@ def cmd_summarize(args) -> int:
     state = load_checkpoint(args.checkpoint, expected_vocab_sha=vocab_hash(args.vocab))
     threads = _load_fold(args.input, args.fold)
     cfg = _decode_config(args)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _replace_when_done(args.output) as fh:
         for thread in threads:
             result = summarize(state, vocab, thread, cfg, provide_likes=args.provide_likes)
             result["checkpoint"] = args.checkpoint.rsplit("/", 1)[-1]
@@ -276,13 +291,13 @@ def cmd_evaluate(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     reports_path = os.path.join(args.out_dir, "reports.jsonl")
-    with open(reports_path, "w", encoding="utf-8") as fh:
+    agg_path = os.path.join(args.out_dir, "aggregates.csv")
+    # both files are replaced only once both are written
+    with _replace_when_done(reports_path) as fh, _replace_when_done(agg_path, newline="") as agg_fh:
         for report in reports:
             row = dataclasses.asdict(report)
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-    agg_path = os.path.join(args.out_dir, "aggregates.csv")
-    with open(agg_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(agg_fh)
         writer.writerow(["variant", "xent", "recall_w", "title_rouge"])
         writer.writerow(
             [state.variant.id, f"{aggregates['xent']:.6f}",

@@ -11,6 +11,12 @@ all live hypotheses at once.  beam_search drives the model's
 IncrementalDecoder, which advances every live hypothesis by one position
 per step from cached keys and values; beam_search_fn calls an arbitrary
 per-prefix distribution function once per live hypothesis.
+
+The loop keeps the live beam as arrays: an (n_live, length) id matrix and
+a vector of summed log probabilities.  blocked_pairs finds the blocked
+tokens of all rows at once; blocked_tokens, its per-hypothesis reference,
+is kept for the tests.  Rankings, ties included, equal those of the
+list-based loop that tests/test_decoding.py keeps as reference_search.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ if TYPE_CHECKING:
 
 
 class DecodeError(ValueError):
-    """Raised for invalid decoding configuration."""
+    """Raised for an invalid decoding configuration or next-token distribution."""
 
 
 @dataclass(frozen=True)
@@ -102,61 +108,106 @@ def beam_search_fn(
     return _search(step_all, cfg, vocab_size, trace)
 
 
+def blocked_pairs(ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """blocked_tokens for every row of an (n, length) id matrix at once:
+    returns (rows, tokens) such that tokens[i] would complete a k-gram that
+    already occurs in row rows[i]."""
+    length = ids.shape[1]
+    windows = length - k + 1  # k-gram start positions per row
+    if k == 0 or windows <= 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=ids.dtype)
+    # a window matches when its first k-1 ids equal the row's last k-1 ids
+    match = ids[:, :windows] == ids[:, windows, None]
+    for j in range(1, k - 1):
+        match &= ids[:, j : j + windows] == ids[:, windows + j, None]
+    rows, starts = np.nonzero(match)
+    return rows, ids[rows, starts + k - 1]
+
+
+def _check_distributions(probs: np.ndarray, n_live: int, vocab_size: int) -> None:
+    if probs.shape != (n_live, vocab_size):
+        raise DecodeError(f"next-token distributions have shape {probs.shape}, expected ({n_live}, {vocab_size})")
+    if not (probs.min() >= 0.0 and probs.max() < np.inf):
+        bad = np.flatnonzero(~((probs >= 0.0) & (probs < np.inf)).all(axis=1))
+        raise DecodeError(f"next-token distribution of live row {bad[0]} holds a NaN, negative or infinite entry")
+
+
 def _search(
-    step_all: Callable[[list[tuple[int, ...]]], np.ndarray],
+    step_all: Callable[[list[list[int]]], np.ndarray],
     cfg: DecodeConfig,
     vocab_size: int,
     trace: list | None,
 ) -> list[Hypothesis]:
-    """The search loop; step_all maps the live prefixes of one step to a
-    fresh (n_live, vocab_size) array of next-token distributions."""
+    """The search loop; step_all maps the live prefixes of one step, as
+    lists of ids, to an (n_live, vocab_size) array of next-token
+    distributions.  Raises DecodeError for an array of another shape or a
+    row holding a NaN, negative or infinite entry.
+
+    The live beam is an (n_live, length) id matrix and a vector of summed
+    log probabilities, in rank order; only finished hypotheses become
+    Hypothesis objects.  Each row contributes its k most likely tokens
+    (k = min(beam_size, vocab_size), ties to the lower id), and candidates
+    rank by (-normalized score, ids) as the sort of Hypothesis objects would.
+    """
     alpha = cfg.length_penalty_alpha
-    live = [Hypothesis(ids=(BOS,), log_prob=0.0, finished=False)]
-    finished: list[Hypothesis] = []
     lp_max = length_penalty(cfg.max_out_len, alpha)
     k_top = min(vocab_size, cfg.beam_size)
-    token_ids = np.arange(vocab_size)
+    ids = np.full((1, 1), BOS, dtype=np.int64)
+    live_lp = np.zeros(1)
+    # each live row's rank among the live rows in lexicographic order of ids
+    live_rank = np.zeros(1, dtype=np.int64)
+    finished: list[Hypothesis] = []
+    finished_scores: list[float] = []
 
     for _ in range(cfg.max_out_len):
-        probs = step_all([hyp.ids for hyp in live])
-        if cfg.block_ngram:
-            for row, hyp in zip(probs, live):
-                banned = blocked_tokens(hyp.ids, cfg.block_ngram)
-                if banned:
-                    row[list(banned)] = 0.0
+        n_live, length = ids.shape
+        probs = step_all(ids.tolist())
+        _check_distributions(probs, n_live, vocab_size)
         with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        candidates = []
-        for hyp, row in zip(live, logp):
-            for token in np.lexsort((token_ids, -row))[:k_top]:
-                candidates.append(
-                    Hypothesis(
-                        ids=hyp.ids + (int(token),),
-                        log_prob=hyp.log_prob + float(row[token]),
-                        finished=int(token) == EOS,
-                    )
-                )
-        candidates.sort(key=lambda h: (-normalized_score(h, alpha), h.ids))
-        live = []
-        for cand in candidates:
-            if cand.log_prob == -np.inf:
-                continue
-            if cand.finished:
-                finished.append(cand)
-            elif len(live) < cfg.beam_size:
-                live.append(cand)
-        if trace is not None and finished:
-            trace.append(max(normalized_score(h, alpha) for h in finished))
-        if not live:
+            cost = -np.log(probs)  # -log p; blocked and impossible tokens cost inf
+        if cfg.block_ngram:
+            cost[blocked_pairs(ids, cfg.block_ngram)] = np.inf
+
+        # every entry at or below a row's k-th smallest cost, then the first
+        # k per row in (cost, token) order
+        threshold = np.partition(cost, k_top - 1, axis=1)[:, k_top - 1, None]
+        rows, tokens = np.nonzero(cost <= threshold)
+        row_cost = cost[rows, tokens]
+        if len(rows) > n_live * k_top:  # ties at some row's threshold
+            order = np.lexsort((tokens, row_cost, rows))
+            rows, tokens, row_cost = rows[order], tokens[order], row_cost[order]
+            first_k = (np.arange(len(rows)) - np.searchsorted(rows, rows)) < k_top
+            rows, tokens, row_cost = rows[first_k], tokens[first_k], row_cost[first_k]
+
+        cand_lp = live_lp[rows] - row_cost
+        possible = cand_lp != -np.inf
+        rows, tokens, cand_lp = rows[possible], tokens[possible], cand_lp[possible]
+        score = cand_lp / length_penalty(length, alpha)
+        # live ids are distinct and of one length, so (parent rank, token)
+        # orders candidates as their id tuples do
+        id_order = live_rank[rows] * vocab_size + tokens
+        ranked = np.lexsort((id_order, -score))
+        ends = tokens[ranked] == EOS
+        for i in ranked[ends].tolist():
+            finished.append(Hypothesis(tuple(ids[rows[i]].tolist()) + (EOS,), float(cand_lp[i]), True))
+            finished_scores.append(float(score[i]))
+        kept = ranked[~ends][: cfg.beam_size]
+        ids = np.concatenate((ids[rows[kept]], tokens[kept, None]), axis=1)
+        live_lp = cand_lp[kept]
+        live_rank = np.empty(len(kept), dtype=np.int64)
+        live_rank[np.argsort(id_order[kept])] = np.arange(len(kept))
+
+        if trace is not None and finished_scores:
+            trace.append(max(finished_scores))
+        if not len(kept):
             break
-        if len(finished) >= cfg.beam_size:
-            kept = sorted(finished, key=lambda h: (-normalized_score(h, alpha), h.ids))
-            worst_kept = normalized_score(kept[cfg.beam_size - 1], alpha)
-            best_possible = max(h.log_prob / lp_max if h.log_prob < 0 else 0.0 for h in live)
+        if len(finished_scores) >= cfg.beam_size:
+            worst_kept = sorted(finished_scores, reverse=True)[cfg.beam_size - 1]
+            best_possible = max(lp / lp_max if lp < 0 else 0.0 for lp in live_lp.tolist())
             if best_possible <= worst_kept:
                 break
-    for hyp in live:  # ran out of length budget
-        finished.append(Hypothesis(ids=hyp.ids, log_prob=hyp.log_prob, finished=True))
+    for row, lp in zip(ids.tolist(), live_lp.tolist()):  # ran out of length budget
+        finished.append(Hypothesis(ids=tuple(row), log_prob=lp, finished=True))
     finished.sort(key=lambda h: (-normalized_score(h, alpha), h.ids))
     return finished if finished else [Hypothesis(ids=(BOS,), log_prob=0.0, finished=True)]
 

@@ -30,9 +30,11 @@ _GELU_A = 0.044715
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    # the ufunc reductions np.max and np.sum call, without their Python
+    # wrappers: the decoder step takes thousands of softmaxes of tiny arrays
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def linear_fwd(x, W, b):
@@ -48,8 +50,12 @@ def linear_bwd(dout, cache):
 
 
 def layer_norm_fwd(x, gamma, beta):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)  # the steps of x.var, reusing xc
+    # x.mean and x.var as the sums they take, without ndarray.mean's Python
+    # wrapper; a float32 sum over d is divided in float32 here and in float64
+    # there, and both quotients round correctly to the same float32
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)

@@ -1,9 +1,11 @@
 """Command-line pipeline: determinism, flags, error codes, file formats."""
 
+import dataclasses
 import json
 
 import pytest
 
+from threadsum import cli
 from threadsum.cli import build_parser, main
 
 DATA = "data/smoke_corpus.jsonl"
@@ -245,3 +247,52 @@ class TestPipeline:
         )
         assert code == 0
         assert (out_dir / "step00000030.tsck").exists()
+
+
+def fail_on_second_call(fn):
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("second call fails")
+        return fn(*args, **kwargs)
+
+    return flaky
+
+
+class TestAllOrNothingOutputs:
+    """A command that fails part-way leaves its previous outputs byte for
+    byte and no temporary file."""
+
+    def test_summarize(self, pipeline, tmp_path, monkeypatch):
+        root, clean, vocab, run_dir = pipeline
+        out = tmp_path / "sums.jsonl"
+        out.write_bytes(b"previous run\n")
+        monkeypatch.setattr(cli, "summarize", fail_on_second_call(cli.summarize))
+        code = run(
+            ["summarize", "--in", str(clean), "--vocab", str(vocab),
+             "--checkpoint", str(run_dir / "step00000020.tsck"), "--out", str(out),
+             "--fold", "all", "--beam-size", "2", "--max-out-len", "8"]
+        )
+        assert code == 1
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sums.jsonl"]
+
+    def test_evaluate(self, pipeline, tmp_path, monkeypatch):
+        """Writing the second report fails after the first was written."""
+        root, clean, vocab, run_dir = pipeline
+        out_dir = tmp_path / "eval"
+        out_dir.mkdir()
+        (out_dir / "reports.jsonl").write_bytes(b"previous reports\n")
+        (out_dir / "aggregates.csv").write_bytes(b"previous aggregates\n")
+        monkeypatch.setattr(dataclasses, "asdict", fail_on_second_call(dataclasses.asdict))
+        code = run(
+            ["evaluate", "--in", str(clean), "--vocab", str(vocab),
+             "--checkpoint", str(run_dir / "step00000020.tsck"), "--out-dir", str(out_dir),
+             "--fold", "all", "--beam-size", "2", "--max-out-len", "8"]
+        )
+        assert code == 1
+        assert (out_dir / "reports.jsonl").read_bytes() == b"previous reports\n"
+        assert (out_dir / "aggregates.csv").read_bytes() == b"previous aggregates\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["aggregates.csv", "reports.jsonl"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum.decoding import (
@@ -12,11 +14,14 @@ from threadsum.decoding import (
     Hypothesis,
     beam_search,
     beam_search_fn,
+    blocked_pairs,
+    blocked_tokens,
     length_penalty,
     normalized_score,
     summarize,
 )
 from threadsum.model import (
+    IncrementalDecoder,
     ModelConfig,
     ModelParams,
     attention_weights,
@@ -179,6 +184,187 @@ class TestBeamEngine:
             DecodeConfig(block_ngram=1)
 
 
+class TestBadDistributions:
+    """A step whose output is not one distribution per live prefix fails
+    with DecodeError instead of being ranked."""
+
+    def test_wrong_width(self):
+        def wide(prefix):
+            return np.full(V + 1, 1.0 / (V + 1))
+
+        with pytest.raises(DecodeError, match=rf"shape \(1, {V + 1}\), expected \(1, {V}\)"):
+            beam_search_fn(wide, DecodeConfig(beam_size=2), V)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.125, np.inf])
+    def test_nan_negative_or_infinite_entry(self, bad):
+        """The second step's live rows start with [BOS, t]; the row of the
+        prefix ending in [SEP] is broken."""
+
+        def step(prefix):
+            p = np.full(V, 1.0 / V)
+            if prefix[-1] == SEP:
+                p[1] = bad
+            return p
+
+        with pytest.raises(DecodeError, match="NaN, negative or infinite"):
+            beam_search_fn(step, DecodeConfig(beam_size=V, block_ngram=0), V)
+
+    def test_valid_rows_still_pass(self):
+        """All-zero rows and rows that do not sum to one are accepted."""
+
+        def step(prefix):
+            return np.zeros(V) if len(prefix) > 2 else np.full(V, 0.5)
+
+        hyps = beam_search_fn(step, DecodeConfig(beam_size=2, block_ngram=0), V)
+        assert hyps[0].finished
+
+
+def reference_search(step_all, cfg, vocab_size, trace=None):
+    """The list-based search loop, the ranking oracle for the array loop of
+    decoding._search: one Hypothesis per candidate, a full lexsort per row,
+    blocked_tokens per hypothesis and tuple-keyed sorts."""
+    alpha = cfg.length_penalty_alpha
+    live = [Hypothesis(ids=(BOS,), log_prob=0.0, finished=False)]
+    finished: list[Hypothesis] = []
+    lp_max = length_penalty(cfg.max_out_len, alpha)
+    k_top = min(vocab_size, cfg.beam_size)
+    token_ids = np.arange(vocab_size)
+
+    for _ in range(cfg.max_out_len):
+        probs = step_all([hyp.ids for hyp in live])
+        if cfg.block_ngram:
+            for row, hyp in zip(probs, live):
+                banned = blocked_tokens(hyp.ids, cfg.block_ngram)
+                if banned:
+                    row[list(banned)] = 0.0
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs)
+        candidates = []
+        for hyp, row in zip(live, logp):
+            for token in np.lexsort((token_ids, -row))[:k_top]:
+                candidates.append(
+                    Hypothesis(
+                        ids=hyp.ids + (int(token),),
+                        log_prob=hyp.log_prob + float(row[token]),
+                        finished=int(token) == EOS,
+                    )
+                )
+        candidates.sort(key=lambda h: (-normalized_score(h, alpha), h.ids))
+        live = []
+        for cand in candidates:
+            if cand.log_prob == -np.inf:
+                continue
+            if cand.finished:
+                finished.append(cand)
+            elif len(live) < cfg.beam_size:
+                live.append(cand)
+        if trace is not None and finished:
+            trace.append(max(normalized_score(h, alpha) for h in finished))
+        if not live:
+            break
+        if len(finished) >= cfg.beam_size:
+            kept = sorted(finished, key=lambda h: (-normalized_score(h, alpha), h.ids))
+            worst_kept = normalized_score(kept[cfg.beam_size - 1], alpha)
+            best_possible = max(h.log_prob / lp_max if h.log_prob < 0 else 0.0 for h in live)
+            if best_possible <= worst_kept:
+                break
+    for hyp in live:  # ran out of length budget
+        finished.append(Hypothesis(ids=hyp.ids, log_prob=hyp.log_prob, finished=True))
+    finished.sort(key=lambda h: (-normalized_score(h, alpha), h.ids))
+    return finished if finished else [Hypothesis(ids=(BOS,), log_prob=0.0, finished=True)]
+
+
+def per_prefix(step_fn):
+    """The step_all that beam_search_fn builds from a per-prefix function."""
+    return lambda prefixes: np.stack([np.asarray(step_fn(list(p)), dtype=np.float64) for p in prefixes])
+
+
+TIE_V = 7
+
+
+def _prefix_rng(kind, prefix):
+    key = sum(ord(c) for c in kind)
+    for t in prefix:
+        key = (key * 31 + t + 7) % (2**63)
+    return np.random.default_rng(key)
+
+
+def tie_model(kind):
+    """Deterministic next-token tables whose rankings are full of exact ties."""
+
+    def step(prefix):
+        rng = _prefix_rng(kind, prefix)
+        if kind == "eighths":  # probabilities in multiples of 1/8, zeros included
+            return rng.multinomial(8, np.full(TIE_V, 1.0 / TIE_V)) / 8.0
+        if kind == "uniform":
+            return np.full(TIE_V, 1.0 / TIE_V)
+        if kind == "sparse":  # fewer nonzero tokens than most beams
+            p = np.zeros(TIE_V)
+            support = rng.choice(TIE_V, size=int(rng.integers(1, 3)), replace=False)
+            p[support] = rng.multinomial(4, np.full(len(support), 1.0 / len(support))) / 4.0
+            return p
+        # "emptied": two tokens only, never [EOS], so blocking empties rows
+        p = np.zeros(TIE_V)
+        p[[5, 6]] = 0.5
+        return p
+
+    return step
+
+
+def assert_same_ranking(got, want):
+    assert [h.ids for h in got] == [h.ids for h in want]
+    assert [h.log_prob for h in got] == [h.log_prob for h in want]
+    assert [h.finished for h in got] == [h.finished for h in want]
+
+
+class TestReferenceSearch:
+    """The array search ranks exactly as the list-based loop, ties included."""
+
+    @pytest.mark.parametrize("kind", ["eighths", "uniform", "sparse", "emptied"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("block_ngram", [0, 2, 3, 4])
+    def test_tie_heavy_tables(self, kind, alpha, block_ngram):
+        step = tie_model(kind)
+        for beam_size in (1, 3, TIE_V + 2):
+            cfg = DecodeConfig(beam_size, block_ngram, max_out_len=6, length_penalty_alpha=alpha)
+            got_trace, want_trace = [], []
+            got = beam_search_fn(step, cfg, TIE_V, trace=got_trace)
+            want = reference_search(per_prefix(step), cfg, TIE_V, trace=want_trace)
+            assert_same_ranking(got, want)
+            assert got_trace == want_trace
+
+    def test_random_tables(self):
+        for seed in range(20):
+            step = table_model(seed + 500)
+            for beam_size, block_ngram in ((2, 2), (4, 3), (V + 1, 0)):
+                cfg = DecodeConfig(beam_size, block_ngram, max_out_len=10)
+                want = reference_search(per_prefix(step), cfg, V)
+                assert_same_ranking(beam_search_fn(step, cfg, V), want)
+
+
+
+@st.composite
+def id_matrices(draw):
+    """Small-alphabet id matrices, so k-grams repeat, with lengths below,
+    at and above k - 1."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n_rows = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 12))
+    alphabet = draw(st.integers(3, 5))
+    row = st.lists(st.integers(0, alphabet - 1), min_size=length, max_size=length)
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    return np.array(rows, dtype=np.int64), k
+
+
+@given(id_matrices())
+@settings(max_examples=400, deadline=None)
+def test_blocked_pairs_equal_blocked_tokens_on_every_row(case):
+    ids, k = case
+    rows, tokens = blocked_pairs(ids, k)
+    for r, row in enumerate(ids.tolist()):
+        assert set(tokens[rows == r].tolist()) == blocked_tokens(tuple(row), k)
+
+
 def tiny_vocab_and_thread():
     chars = "abcdef"
     alphabet = sorted({c for c in chars} | {c + "</w>" for c in chars})
@@ -236,6 +422,29 @@ class TestModelBeamSearch:
                 for a, b in zip(cached, reference):
                     assert a.log_prob == pytest.approx(b.log_prob, rel=0, abs=1e-9)
                     assert a.finished == b.finished
+
+    def test_cached_search_equals_the_reference_loop_exactly(self):
+        """Over the same cached decoder, beam_search and the list-based loop
+        feed it the same live batches and rank the same hypotheses with the
+        same log probabilities."""
+        vocab, thread = tiny_vocab_and_thread()
+        cfg_model = ModelConfig(
+            vocab_size=len(vocab), d_model=16, n_enc_blocks=1, n_dec_blocks=2,
+            n_heads=2, d_ff=32, max_len=24, dropout=0.0, label_smoothing=0.0,
+        )
+        seq = encode(vocab, [thread.title] + [c.text for c in thread.comments], max_len=24)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            shapes = init_params(cfg_model, seed=seed).tensors
+            params = ModelParams(
+                cfg_model, {k: rng.normal(0.0, 0.5, v.shape).astype(np.float32) for k, v in shapes.items()}
+            )
+            params.tensors["lm_b"][EOS] += 1.0
+            enc_att = encode_thread(params, seq, attention_weights(thread)).enc_att
+            for beam_size, block_ngram in ((1, 3), (3, 2), (5, 3), (8, 0)):
+                cfg = DecodeConfig(beam_size=beam_size, block_ngram=block_ngram, max_out_len=20)
+                want = reference_search(IncrementalDecoder(params, enc_att).step, cfg, len(vocab))
+                assert_same_ranking(beam_search(params, enc_att, cfg), want)
 
     def test_empty_encoding_rejected(self):
         cfg_model = ModelConfig(vocab_size=10, d_model=8, n_heads=2, d_ff=16, max_len=16)

@@ -246,6 +246,24 @@ class TestLayerNorm:
                 np.testing.assert_array_equal(out, expected)
 
 
+
+class TestSoftmax:
+    def test_equals_the_max_sum_formula_bit_for_bit(self):
+        """Logits of an LM head and causally masked attention scores of the
+        decoder step, in both dtypes."""
+        rng = np.random.default_rng(18)
+        for dtype in (np.float32, np.float64):
+            scores = rng.normal(0.0, 3.0, (4, 4, 1, 9)).astype(dtype)
+            scores[..., 5:] += layers.causal_mask(9, dtype=dtype)[4, 5:]  # -inf past position 4
+            for x in (rng.normal(0.0, 4.0, (5, 420)).astype(dtype), scores):
+                e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+                expected = e / np.sum(e, axis=-1, keepdims=True)
+                out = layers.softmax(x)
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(out, expected)
+            assert (layers.softmax(scores)[..., 5:] == 0.0).all()
+
+
 class TestForwardLoss:
     def setup_method(self):
         self.rng = np.random.default_rng(5)
