@@ -11,6 +11,7 @@ file in its place.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -27,19 +28,23 @@ class CheckpointError(ValueError):
     """Raised for unreadable, corrupt or mismatched checkpoint files."""
 
 
-def write_tensors(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+@contextlib.contextmanager
+def replace_when_done(path, newline: str | None = None, binary: bool = False):
+    """Write through <path>.tmp (UTF-8 text, or binary) and move it over path
+    only when the block completes, so a failure leaves the previous file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        _write(tmp, header, tensors)
+        with open(tmp, "wb") if binary else open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):  # the write failed before the rename
+        if os.path.exists(tmp):  # the block raised before the rename
             os.remove(tmp)
 
 
-def _write(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+def write_tensors(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_when_done(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))

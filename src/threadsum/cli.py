@@ -12,7 +12,6 @@ characterize).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -21,6 +20,7 @@ import sys
 
 from threadsum import corpus as corpus_mod
 from threadsum import evaluation
+from threadsum.checkpoint import replace_when_done
 from threadsum.decoding import DecodeConfig, summarize
 from threadsum.model import ModelConfig
 from threadsum.tokenizer import load_vocab, save_vocab, train_vocab, vocab_hash
@@ -87,32 +87,31 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         setattr(args, key, value)
 
 
-@contextlib.contextmanager
-def _replace_when_done(path: str, newline: str | None = None):
-    """Write through <path>.tmp and move it over path only when the block
-    completes, so a failure leaves the previous file as it was."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the block raised before the rename
-            os.remove(tmp)
+# model flag dest -> ModelConfig field
+_MODEL_FLAGS = {
+    "d_model": "d_model", "enc_blocks": "n_enc_blocks", "dec_blocks": "n_dec_blocks", "heads": "n_heads",
+    "d_ff": "d_ff", "max_len": "max_len", "dropout": "dropout", "label_smoothing": "label_smoothing",
+}
 
 
 def _model_config(args, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=args.d_model,
-        n_enc_blocks=args.enc_blocks,
-        n_dec_blocks=args.dec_blocks,
-        n_heads=args.heads,
-        d_ff=args.d_ff,
-        max_len=args.max_len,
-        dropout=args.dropout,
-        label_smoothing=args.label_smoothing,
-    )
+    return ModelConfig(vocab_size=vocab_size, **{f: getattr(args, dest) for dest, f in _MODEL_FLAGS.items()})
+
+
+def _check_resume_flags(args, state) -> None:
+    """A resumed run keeps the checkpoint's model and variant, so a flag away
+    from its parser default that disagrees with the checkpoint exits 2."""
+    fixed = {dest: getattr(state.params.config, f) for dest, f in _MODEL_FLAGS.items()}
+    fixed["variant"] = state.variant.id
+    subparser: argparse.ArgumentParser = args._sub
+    for action in subparser._actions:
+        if action.dest in fixed:
+            value = getattr(args, action.dest)
+            if value != action.default and value != fixed[action.dest]:
+                subparser.error(
+                    f"{action.option_strings[0]} {value} differs from the checkpoint's "
+                    f"{fixed[action.dest]}; --resume keeps the checkpoint's model and variant"
+                )
 
 
 def _decode_config(args) -> DecodeConfig:
@@ -173,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, default=7, help="task variant id (1..8)")
     p.add_argument("--steps", type=int, default=2000, help="total optimizer steps")
     p.add_argument("--eval-every", type=int, default=2000, help="checkpoint cadence in steps")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--resume", default=None, help="checkpoint to continue from")
+    p.add_argument("--seed", type=int, default=0, help="random seed (unused with --resume, which continues the checkpoint's rng)")
+    p.add_argument("--resume", default=None, help="checkpoint to continue from; its model and variant are kept")
     p.add_argument("--lr-peak", type=float, default=3e-4, help="peak learning rate")
     p.add_argument("--warmup-steps", type=int, default=400, help="learning-rate warmup steps")
     p.add_argument("--batch-size", type=int, default=8, help="threads per optimizer step")
@@ -250,6 +249,7 @@ def cmd_train(args) -> int:
     schedule = TrainSchedule(max_steps=args.steps, eval_every=args.eval_every)
     if args.resume:
         state = load_checkpoint(args.resume, expected_vocab_sha=sha)
+        _check_resume_flags(args, state)
         config = state.params.config
         variant = state.variant
     else:
@@ -273,7 +273,7 @@ def cmd_summarize(args) -> int:
     state = load_checkpoint(args.checkpoint, expected_vocab_sha=vocab_hash(args.vocab))
     threads = _load_fold(args.input, args.fold)
     cfg = _decode_config(args)
-    with _replace_when_done(args.output) as fh:
+    with replace_when_done(args.output) as fh:
         for thread in threads:
             result = summarize(state, vocab, thread, cfg, provide_likes=args.provide_likes)
             result["checkpoint"] = args.checkpoint.rsplit("/", 1)[-1]
@@ -293,7 +293,7 @@ def cmd_evaluate(args) -> int:
     reports_path = os.path.join(args.out_dir, "reports.jsonl")
     agg_path = os.path.join(args.out_dir, "aggregates.csv")
     # both files are replaced only once both are written
-    with _replace_when_done(reports_path) as fh, _replace_when_done(agg_path, newline="") as agg_fh:
+    with replace_when_done(reports_path) as fh, replace_when_done(agg_path, newline="") as agg_fh:
         for report in reports:
             row = dataclasses.asdict(report)
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
@@ -331,7 +331,7 @@ def cmd_characterize(args) -> int:
                 )
             )
     rows = evaluation.quartile_report(reports)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
+    with replace_when_done(args.output, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:

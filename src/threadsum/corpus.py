@@ -109,13 +109,9 @@ def _parse_thread(obj: dict, line_no: int) -> RawThread:
     return RawThread(id=str(obj["id"]), title=str(obj["title"]), comments=comments)
 
 
-def load_corpus(path) -> list[RawThread]:
-    """Read one RawThread per line from a JSON-lines file, in file order.
-
-    Thread ids must be unique within the file.  Malformed lines raise
-    CorpusError carrying the 1-based line number.
-    """
-    threads: list[RawThread] = []
+def _read_threads(path):
+    """Yield (line number, JSON object, RawThread) per non-blank line of a
+    JSON-lines file; see load_corpus for the checks."""
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -129,8 +125,16 @@ def load_corpus(path) -> list[RawThread]:
             if thread.id in seen_ids:
                 raise CorpusError(f"line {line_no}: duplicate thread id {thread.id!r}")
             seen_ids.add(thread.id)
-            threads.append(thread)
-    return threads
+            yield line_no, obj, thread
+
+
+def load_corpus(path) -> list[RawThread]:
+    """Read one RawThread per line from a JSON-lines file, in file order.
+
+    Thread ids must be unique within the file.  Malformed lines raise
+    CorpusError carrying the 1-based line number.
+    """
+    return [thread for _, _, thread in _read_threads(path)]
 
 
 def preprocess(threads: list[RawThread], min_words: int = 5) -> list[CleanThread]:
@@ -196,15 +200,6 @@ def thread_to_json(thread: CleanThread) -> dict:
     return obj
 
 
-def thread_from_json(obj: dict) -> CleanThread:
-    return CleanThread(
-        id=str(obj["id"]),
-        title=str(obj["title"]),
-        comments=[CleanComment(text=str(c["text"]), likes=int(c["likes"])) for c in obj["comments"]],
-        fold=str(obj.get("fold", "")),
-    )
-
-
 def save_clean(threads: list[CleanThread], path) -> None:
     """Write clean threads as JSONL (same schema as the raw corpus + fold)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -213,14 +208,17 @@ def save_clean(threads: list[CleanThread], path) -> None:
 
 
 def load_clean(path, fold: str | None = None) -> list[CleanThread]:
-    """Read a clean JSONL corpus, optionally filtering to one fold."""
+    """Read a clean JSONL corpus, optionally filtering to one fold.  Lines
+    are checked as by load_corpus, and a fold, when present, must be in FOLDS."""
+    if fold is not None and fold not in FOLDS:
+        raise CorpusError(f"unknown fold {fold!r}")
     threads = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                threads.append(thread_from_json(json.loads(line)))
+    for line_no, obj, raw in _read_threads(path):
+        thread_fold = obj.get("fold", "")
+        if thread_fold != "" and thread_fold not in FOLDS:
+            raise CorpusError(f"line {line_no}: unknown fold {thread_fold!r}")
+        comments = [CleanComment(text=c.text, likes=c.likes) for c in raw.comments]
+        threads.append(CleanThread(id=raw.id, title=raw.title, comments=comments, fold=thread_fold))
     if fold is not None:
-        if fold not in FOLDS:
-            raise CorpusError(f"unknown fold {fold!r}")
         threads = [t for t in threads if t.fold == fold]
     return threads

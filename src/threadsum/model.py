@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from threadsum import layers
-from threadsum.tokenizer import BOS, EOS, PAD, TokenSeq
+from threadsum.tokenizer import BOS, EOS, PAD, SPECIAL_TOKENS, TokenSeq
 
 
 class ModelError(ValueError):
@@ -32,7 +32,7 @@ class ModelError(ValueError):
 
 
 class NumericsError(FloatingPointError):
-    """Raised when a loss or gradient tensor goes non-finite."""
+    """Raised when a loss or a training step's summed gradient goes non-finite."""
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,10 @@ class ModelConfig:
     label_smoothing: float = 0.1
 
     def __post_init__(self):
-        counts = {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_enc_blocks": self.n_enc_blocks,
-            "n_dec_blocks": self.n_dec_blocks,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ModelError(f"{name} must be >= 1, got {value}")
+        for name in ("vocab_size", "d_model", "n_enc_blocks", "n_dec_blocks", "n_heads", "d_ff", "max_len"):
+            least = len(SPECIAL_TOKENS) if name == "vocab_size" else 1  # the vocabulary holds every special token
+            if getattr(self, name) < least:
+                raise ModelError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         for name in ("dropout", "label_smoothing"):
@@ -424,19 +416,6 @@ class IncrementalDecoder:
         return layers.softmax(logits.astype(np.float64))
 
 
-def _smoothed_targets(gold: np.ndarray, mask: np.ndarray, vocab_size: int, eps: float, dtype):
-    """Rows of the target distribution: 1-eps at the gold token, eps spread
-    uniformly over the rest of the vocabulary except [PAD]."""
-    T = len(gold)
-    q = np.zeros((T, vocab_size), dtype=dtype)
-    rows = np.arange(T)[mask]
-    if eps > 0.0:
-        q[mask] = eps / (vocab_size - 2)
-        q[:, PAD] = 0.0
-    q[rows, gold[mask]] = 1.0 - eps
-    return q
-
-
 def forward_loss(
     params: ModelParams,
     seq: TokenSeq,
@@ -448,7 +427,8 @@ def forward_loss(
     """Label-smoothed KL loss of the teacher-forced target plus full gradients.
 
     Positions whose gold token is [PAD] are excluded from the mean.  Returns
-    (loss, gradient dict shaped like params.tensors).
+    (loss, gradient dict shaped like params.tensors).  A non-finite loss
+    raises NumericsError; training checks the summed gradient once per step.
     """
     cfg = params.config
     target = list(target)
@@ -471,24 +451,33 @@ def forward_loss(
     y, dec_cache = _stack_fwd(params, "dec", dec_in, enc_att, p_drop, rng)
     logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
 
-    # loss: mean over non-PAD positions of KL(smoothed one-hot || softmax);
-    # non-finiteness is checked explicitly, so let nan/inf propagate quietly
+    # loss: mean over non-PAD rows of KL(q || softmax), where q puts 1-eps on
+    # the gold token and u = eps/(V-2) on every other non-PAD one, so sum q log q
+    # is one constant; non-finiteness is checked explicitly, so let nan/inf propagate
     mask = gold != PAD
     n_eff = int(mask.sum())
     if n_eff == 0:
         raise ModelError("target contains no non-PAD positions to predict")
-    q = _smoothed_targets(gold, mask, cfg.vocab_size, cfg.label_smoothing, np.float64)
+    eps = cfg.label_smoothing
+    u = eps / (cfg.vocab_size - 2)
+    q_log_q = (1.0 - eps) * math.log(1.0 - eps) + eps * math.log(u) if eps > 0 else 0.0
+    rows = np.arange(len(gold))
     with np.errstate(invalid="ignore", over="ignore"):
         logits64 = logits.astype(np.float64)
         logz = logits64 - np.max(logits64, axis=-1, keepdims=True)
         logp = logz - np.log(np.sum(np.exp(logz), axis=-1, keepdims=True))
-        logq = np.log(q, where=q > 0, out=np.zeros_like(q))
-        loss_rows = (q * logq).sum(axis=-1) - (q * logp).sum(axis=-1)
+        logp_gold = logp[rows, gold]
+        loss_rows = q_log_q - (1.0 - eps) * logp_gold - u * (logp.sum(axis=-1) - logp[:, PAD] - logp_gold)
         loss = float(loss_rows[mask].mean())
     if not math.isfinite(loss):
         raise NumericsError("non-finite loss")
 
-    dlogits = (np.exp(logp) - q) / n_eff
+    # d loss / d logits = (softmax - q) / n_eff on the non-PAD rows
+    probs = np.exp(logp)
+    dlogits = probs - u
+    dlogits[:, PAD] = probs[:, PAD]
+    dlogits[rows, gold] = probs[rows, gold] - (1.0 - eps)
+    dlogits /= n_eff
     dlogits[~mask] = 0.0
     dlogits = dlogits.astype(logits.dtype)
 
@@ -498,9 +487,4 @@ def forward_loss(
     d_enc = d_enc_att if disable_attention else d_enc_att * tokw[:, None]
     _stack_bwd(d_enc, enc_cache, params, "enc", grads)
 
-    for name in params.tensors:
-        if name not in grads:
-            grads[name] = np.zeros_like(params.tensors[name])
-        elif not np.all(np.isfinite(grads[name])):
-            raise NumericsError(f"non-finite gradient in tensor '{name}'")
     return loss, grads

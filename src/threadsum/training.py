@@ -84,6 +84,14 @@ class OptimizerConfig:
     batch_size: int = 8
     clip_norm: float = 1.0  # 0 disables clipping
 
+    def __post_init__(self):
+        for name, bound, ok in (
+            ("batch_size", ">= 1", self.batch_size >= 1), ("lr_peak", "> 0", self.lr_peak > 0),
+            ("warmup_steps", ">= 0", self.warmup_steps >= 0), ("clip_norm", ">= 0", self.clip_norm >= 0),
+        ):
+            if not ok:
+                raise TrainingError(f"{name} must be {bound}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class TrainSchedule:
@@ -186,14 +194,18 @@ def sample_target(
 
 
 def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig) -> None:
-    if opt.clip_norm > 0:
-        sq = 0.0
-        for g in grads.values():
-            sq += float(np.sum(g.astype(np.float64) ** 2))
-        norm = math.sqrt(sq)
-        if norm > opt.clip_norm:
-            scale = opt.clip_norm / norm
-            grads = {k: g * scale for k, g in grads.items()}
+    """One Adam step on the clipped gradient.  A non-finite gradient norm
+    raises NumericsError before any parameter or moment changes."""
+    sq = 0.0
+    for g in grads.values():
+        sq += float(np.sum(g.astype(np.float64) ** 2))
+    norm = math.sqrt(sq)
+    if not math.isfinite(norm):
+        bad = next((k for k, g in grads.items() if not np.all(np.isfinite(g))), None)
+        raise NumericsError(f"non-finite gradient in tensor '{bad}'" if bad else "gradient norm overflows")
+    if 0 < opt.clip_norm < norm:
+        scale = opt.clip_norm / norm
+        grads = {k: g * scale for k, g in grads.items()}
     t = state.step
     lr = learning_rate(t, opt)
     bias1 = 1.0 - ADAM_BETA1**t
@@ -340,15 +352,15 @@ def train(
                 else:
                     for name in grad_sum:
                         grad_sum[name] += grads[name]
+            scale = 1.0 / opt.batch_size
+            for name in grad_sum:
+                grad_sum[name] *= scale
+            _adam_update(state, grad_sum, opt)
+            state.last_train_loss = batch_loss / opt.batch_size
         except NumericsError as exc:
             raise TrainingDiverged(
                 f"training diverged at step {state.step}: {exc}", last_checkpoint
             ) from exc
-        scale = 1.0 / opt.batch_size
-        for name in grad_sum:
-            grad_sum[name] *= scale
-        state.last_train_loss = batch_loss / opt.batch_size
-        _adam_update(state, grad_sum, opt)
 
         if log_every and state.step % log_every == 0:
             print(f"step {state.step}: loss {state.last_train_loss:.4f}")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from threadsum import cli
+from threadsum import cli, evaluation
 from threadsum.cli import build_parser, main
 
 DATA = "data/smoke_corpus.jsonl"
@@ -296,3 +296,58 @@ class TestAllOrNothingOutputs:
         assert (out_dir / "reports.jsonl").read_bytes() == b"previous reports\n"
         assert (out_dir / "aggregates.csv").read_bytes() == b"previous aggregates\n"
         assert sorted(p.name for p in out_dir.iterdir()) == ["aggregates.csv", "reports.jsonl"]
+
+
+class TestResumeFlags:
+    """--resume keeps the checkpoint's model and variant: a flag away from
+    its default that disagrees with the checkpoint is a usage error."""
+
+    def resume(self, pipeline, tmp_path, extra):
+        root, clean, vocab, run_dir = pipeline
+        return run(
+            ["train", "--in", str(clean), "--vocab", str(vocab), "--out-dir", str(tmp_path / "resumed"),
+             "--resume", str(run_dir / "step00000020.tsck"), "--steps", "21", "--eval-every", "0"]
+            + extra
+        )
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--d-model", "32"], "--d-model"), (["--variant", "3"], "--variant"),
+         (["--label-smoothing", "0.2"], "--label-smoothing")],
+    )
+    def test_conflicting_flag_exits_2(self, pipeline, tmp_path, capsys, extra, flag):
+        with pytest.raises(SystemExit) as err:
+            self.resume(pipeline, tmp_path, extra)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_flags_at_their_defaults_are_not_conflicts(self, pipeline, tmp_path):
+        """The checkpoint's d_model is 16; the flag's default 128 is no request."""
+        assert self.resume(pipeline, tmp_path, []) == 0
+
+
+def test_characterize_failure_keeps_previous_csv(pipeline, tmp_path, monkeypatch):
+    """A row that cannot be written, after the header and a first row were,
+    leaves the previous CSV byte for byte and no temporary file."""
+    root, clean, vocab, run_dir = pipeline
+    eval_dir = tmp_path / "eval"
+    assert run(
+        ["evaluate", "--in", str(clean), "--vocab", str(vocab),
+         "--checkpoint", str(run_dir / "step00000020.tsck"), "--out-dir", str(eval_dir),
+         "--fold", "all", "--beam-size", "2", "--max-out-len", "8"]
+    ) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "quartiles.csv"
+    out.write_bytes(b"previous report\n")
+    real = evaluation.quartile_report
+
+    def second_row_unwritable(reports):
+        rows = real(reports)
+        rows[1] = {**rows[1], "not_a_column": 1}
+        return rows
+
+    monkeypatch.setattr(evaluation, "quartile_report", second_row_unwritable)
+    assert run(["characterize", "--reports", str(eval_dir / "reports.jsonl"), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"previous report\n"
+    assert [p.name for p in out_dir.iterdir()] == ["quartiles.csv"]

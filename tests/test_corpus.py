@@ -237,3 +237,31 @@ class TestRoundTrip:
         train = load_clean(path, fold="train")
         assert all(t.fold == "train" for t in train)
         assert len(train) == sum(t.fold == "train" for t in threads)
+
+
+class TestLoadCleanValidates:
+    """Clean files are parsed through the same checks as raw ones."""
+
+    def good(self, thread_id):
+        return {"id": thread_id, "title": "T", "comments": [{"text": "uno dos", "likes": 1}], "fold": "train"}
+
+    def test_missing_likes_names_the_line(self, tmp_path):
+        path = tmp_path / "clean.jsonl"
+        bad = self.good("b")
+        del bad["comments"][0]["likes"]
+        write_jsonl(path, [self.good("a"), bad])
+        with pytest.raises(CorpusError, match="line 2.*'likes'"):
+            load_clean(path)
+
+    def test_unknown_fold_names_the_line(self, tmp_path):
+        path = tmp_path / "clean.jsonl"
+        write_jsonl(path, [self.good("a"), {**self.good("b"), "fold": "dev"}])
+        with pytest.raises(CorpusError, match="line 2.*'dev'"):
+            load_clean(path)
+
+    def test_missing_fold_is_unassigned(self, tmp_path):
+        path = tmp_path / "clean.jsonl"
+        obj = self.good("a")
+        del obj["fold"]
+        write_jsonl(path, [obj])
+        assert [t.fold for t in load_clean(path)] == [""]

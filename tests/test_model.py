@@ -463,3 +463,67 @@ class TestDtype:
             expected_mask = (np.random.default_rng(17).random(x.shape) >= p) / (1.0 - p)
             np.testing.assert_array_equal(mask, expected_mask)
             np.testing.assert_array_equal(out, x * expected_mask)
+
+
+class TestLossHeadWithPad:
+    """The closed-form label-smoothed loss head on targets holding [PAD]
+    positions, which drop out of the loss and receive no gradient."""
+
+    @staticmethod
+    def padded_inputs(seed):
+        seq, weights, target = tiny_inputs(np.random.default_rng(seed))
+        target[2] = PAD
+        target[5] = PAD
+        return seq, weights, target
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_gradient_matches_finite_differences(self, eps):
+        config = ModelConfig(**{**TINY.__dict__, "label_smoothing": eps})
+        params = init_params(config, seed=18, dtype=np.float64)
+        seq, weights, target = self.padded_inputs(19)
+        _, grads = forward_loss(params, seq, weights, target)
+        assert set(grads) == set(params.tensors)
+
+        rng = np.random.default_rng(20)
+        h = 1e-4
+        failures = []
+        for name, tensor in params.tensors.items():
+            for flat_i in rng.choice(tensor.size, size=min(30, tensor.size), replace=False):
+                original = tensor.flat[flat_i]
+                tensor.flat[flat_i] = original + h
+                up, _ = forward_loss(params, seq, weights, target)
+                tensor.flat[flat_i] = original - h
+                down, _ = forward_loss(params, seq, weights, target)
+                tensor.flat[flat_i] = original
+                numeric = (up - down) / (2 * h)
+                analytic = grads[name].flat[flat_i]
+                err = abs(analytic - numeric)
+                if err > 1e-4 * max(abs(analytic), abs(numeric)) and err > 1e-8:
+                    failures.append((name, int(flat_i), analytic, numeric))
+        assert not failures, f"{len(failures)} mismatches, first: {failures[:3]}"
+
+    def test_loss_equals_per_row_formula_over_non_pad_rows(self):
+        params = init_params(TINY, seed=21, dtype=np.float64)
+        seq, weights, target = self.padded_inputs(22)
+        enc_att = encode_thread(params, seq, weights).enc_att
+        logits = decoder_logits(params, enc_att, target[:-1])
+        logp = logits - logits.max(-1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(-1, keepdims=True))
+        eps, V = TINY.label_smoothing, TINY.vocab_size
+        rows = []
+        for t, g in enumerate(target[1:]):
+            if g == PAD:
+                continue
+            q = np.full(V, eps / (V - 2))
+            q[PAD] = 0.0
+            q[g] = 1.0 - eps
+            rows.append(sum(q[v] * (math.log(q[v]) - logp[t, v]) for v in range(V) if q[v] > 0))
+        assert len(rows) == len(target) - 3
+        loss, _ = forward_loss(params, seq, weights, target)
+        assert abs(loss - np.mean(rows)) <= 1e-12 * abs(loss)
+
+
+@pytest.mark.parametrize("vocab_size", [2, 4])
+def test_vocab_must_cover_the_special_tokens(vocab_size):
+    with pytest.raises(ModelError, match="vocab_size"):
+        ModelConfig(**{**TINY.__dict__, "vocab_size": vocab_size})

@@ -7,6 +7,7 @@ import pytest
 
 from threadsum.checkpoint import CheckpointError, write_tensors
 from threadsum.corpus import CleanComment, CleanThread
+from threadsum import training
 from threadsum.model import ModelConfig, attention_weights
 from threadsum.tokenizer import BOS, EOS, SEP, save_vocab, train_vocab, vocab_hash
 from threadsum.training import (
@@ -329,3 +330,43 @@ class TestResume:
         a = (straight_dir / "step00000006.tsck").read_bytes()
         b = (resumed_dir / "step00000006.tsck").read_bytes()
         assert a == b
+
+
+class TestOptimizerConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("lr_peak", 0.0), ("warmup_steps", -1), ("clip_norm", -0.5)],
+    )
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(TrainingError, match=field):
+            OptimizerConfig(**{field: value})
+
+
+class TestGradientCheckedOncePerStep:
+    """A finite loss with a non-finite gradient stops training before the
+    update: parameters and Adam moments keep their values."""
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
+    def test_nan_gradient_diverges_before_the_update(self, small_setup, monkeypatch, clip_norm):
+        corpus, vocab, config = small_setup
+        opt = OptimizerConfig(batch_size=2, warmup_steps=4, clip_norm=clip_norm)
+        state = train(corpus, vocab, get_variant(3), config, opt, TrainSchedule(2, 0), seed=4)
+        before = {
+            kind: {k: v.copy() for k, v in tensors.items()}
+            for kind, tensors in
+            (("params", state.params.tensors), ("m", state.adam_m), ("v", state.adam_v))
+        }
+        real = training.forward_loss
+
+        def nan_gradient(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            grads["dec0.ffn.W1"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "forward_loss", nan_gradient)
+        with pytest.raises(TrainingDiverged, match="dec0.ffn.W1"):
+            train(corpus, vocab, get_variant(3), config, opt, TrainSchedule(3, 0), initial_state=state)
+        after = {"params": state.params.tensors, "m": state.adam_m, "v": state.adam_v}
+        for kind, tensors in before.items():
+            for name, tensor in tensors.items():
+                np.testing.assert_array_equal(after[kind][name], tensor, err_msg=f"{kind} {name}")
