@@ -2,9 +2,13 @@
 
 Every layer comes as a forward/backward pair: forward returns the output
 plus a cache, backward consumes the upstream gradient and the cache and
-returns input gradients plus parameter gradients.  Training passes one
-unbatched sequence of shape (T, d_model) at a time and averages gradients
-across examples instead of padding a batch.  The row-wise forwards
+returns input gradients plus parameter gradients.  Training passes a chunk
+of examples at a time: their (T_i, d_model) sequences stacked into one
+(sum T_i, d_model) array, so the row-wise layers (linear, layer norm, FFN,
+GELU, dropout) run once per chunk and their weight gradients sum over the
+chunk inside each matmul.  Attention alone is per example: attention_fwd
+takes a block-diagonal mask given by its blocks, one per example's rows,
+and never lets an example's rows see another's.  The row-wise forwards
 (linear, layer norm, FFN, GELU, softmax) also take the (n_live, d_model)
 rows of incremental beam decoding, one row per live hypothesis.
 
@@ -13,8 +17,9 @@ outputs, caches and gradients, float64 (the finite-difference checks)
 float64.  Constants are Python scalars and dropout builds its mask in the
 input's dtype, so nothing upcasts a float32 training step.
 
-attend is the one scaled dot-product attention core: attention_fwd calls it
-on (heads, T, d_head) arrays, and incremental decoding on its cached keys
+attend is the one scaled dot-product attention core and attend_bwd its
+backward: attention_fwd/attention_bwd call them on each block's (heads, T,
+d_head) arrays, and incremental decoding calls attend on its cached keys
 and values.
 """
 
@@ -66,10 +71,11 @@ def layer_norm_bwd(dout, cache):
     dgamma = (dout * xhat).sum(axis=0)
     dbeta = dout.sum(axis=0)
     dxhat = dout * gamma
+    d = dout.shape[-1]
     dx = inv_std * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
     return dx, dgamma, dbeta
 
@@ -89,12 +95,15 @@ def gelu_bwd(dout, cache):
 def dropout_fwd(x, p: float, rng):
     """Inverted dropout; identity (and no rng draw) when p == 0 or rng is None.
 
-    The keep draw is float64 at every dtype, so the dropped positions depend
-    only on the rng state; the mask, and so the output, is in x's dtype.
+    rng is a Generator, whose float64 uniforms at or above p keep their
+    positions, or an iterator yielding the bool keep mask, shaped like x,
+    of such a draw made earlier.  The draw is float64 at every dtype, so the
+    dropped positions depend only on the rng state; the mask, and so the
+    output, is in x's dtype.
     """
     if p <= 0.0 or rng is None:
         return x, None
-    keep = rng.random(x.shape) >= p
+    keep = rng.random(x.shape) >= p if isinstance(rng, np.random.Generator) else next(rng)
     mask = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
     return x * mask, mask
 
@@ -131,32 +140,52 @@ def attend(q, k, v, mask=None):
     return probs, probs @ v
 
 
+def attend_bwd(dctx, q, k, v, probs):
+    """Backward of attend: the gradients with respect to q, k and v, given
+    the context's gradient and attend's probabilities."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    dP = dctx @ np.swapaxes(v, -1, -2)
+    dv = np.swapaxes(probs, -1, -2) @ dctx
+    dS = probs * (dP - np.sum(dP * probs, axis=-1, keepdims=True))
+    dq = dS @ k * scale
+    dk = np.swapaxes(dS, -1, -2) @ q * scale
+    return dq, dk, dv
+
+
 def attention_fwd(q_in, kv_in, p: dict, n_heads: int, mask=None):
     """Multi-head attention with input and output projections.
 
-    q_in (Tq, d) provides queries, kv_in (Tk, d) keys and values; mask is an
-    additive (Tq, Tk) array or None.
+    q_in (Tq, d) provides queries, kv_in (Tk, d) keys and values.  mask is an
+    additive (Tq, Tk) array, None, or a block-diagonal mask given by its
+    blocks: a list of (q_rows, kv_rows, block) triples, row slices that
+    partition both inputs and an additive block mask or None.  The
+    projections run once on all rows; each block's queries then attend only
+    over that block's keys.
     """
     Q, c_q = linear_fwd(q_in, p["Wq"], p["bq"])
     K, c_k = linear_fwd(kv_in, p["Wk"], p["bk"])
     V, c_v = linear_fwd(kv_in, p["Wv"], p["bv"])
     Qh, Kh, Vh = (_split_heads(m, n_heads) for m in (Q, K, V))
-    P, Ch = attend(Qh, Kh, Vh, mask)
+    blocks = mask if isinstance(mask, list) else [(slice(None), slice(None), mask)]
+    Ch = np.empty_like(Qh)
+    probs = []
+    for q_rows, kv_rows, block in blocks:
+        P, Ch[:, q_rows] = attend(Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], block)
+        probs.append(P)
     out, c_o = linear_fwd(_merge_heads(Ch), p["Wo"], p["bo"])
-    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, P, n_heads)
+    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, blocks, probs, n_heads)
 
 
 def attention_bwd(dout, cache):
     """Returns (d_q_in, d_kv_in, param grads dict)."""
-    c_q, c_k, c_v, c_o, Qh, Kh, Vh, P, n_heads = cache
-    scale = 1.0 / math.sqrt(Qh.shape[-1])
+    c_q, c_k, c_v, c_o, Qh, Kh, Vh, blocks, probs, n_heads = cache
     dC, dWo, dbo = linear_bwd(dout, c_o)
     dCh = _split_heads(dC, n_heads)
-    dP = dCh @ Vh.transpose(0, 2, 1)
-    dVh = P.transpose(0, 2, 1) @ dCh
-    dS = P * (dP - np.sum(dP * P, axis=-1, keepdims=True))
-    dQh = dS @ Kh * scale
-    dKh = dS.transpose(0, 2, 1) @ Qh * scale
+    dQh, dKh, dVh = np.empty_like(Qh), np.empty_like(Kh), np.empty_like(Vh)
+    for (q_rows, kv_rows, _), P in zip(blocks, probs):
+        dQh[:, q_rows], dKh[:, kv_rows], dVh[:, kv_rows] = attend_bwd(
+            dCh[:, q_rows], Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], P
+        )
     d_q_in, dWq, dbq = linear_bwd(_merge_heads(dQh), c_q)
     dk_in, dWk, dbk = linear_bwd(_merge_heads(dKh), c_k)
     dv_in, dWv, dbv = linear_bwd(_merge_heads(dVh), c_v)

@@ -12,8 +12,11 @@ IncrementalDecoder all walk that table.
 
 All forward passes also produce caches so that forward_loss can run an
 exact hand-written backward pass; gradients are validated against central
-finite differences in the test suite.  IncrementalDecoder, used by beam
-search, is inference only: it keeps attention keys and values instead.
+finite differences in the test suite.  Training runs forward_loss on a
+chunk of examples: their rows are stacked, the row-wise layers see all of
+them at once, and attention is block-diagonal, so no example attends to
+another's tokens.  IncrementalDecoder, used by beam search, is inference
+only: it keeps attention keys and values instead.
 """
 
 from __future__ import annotations
@@ -190,16 +193,73 @@ def _sub(tensors, prefix):
     return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
 
 
-def _embed_fwd(tensors, ids, ln_prefix, p_drop, rng):
-    T = len(ids)
-    e = tensors["tok_emb"][ids] + tensors["pos_emb"][:T]
+def _row_slices(lengths) -> list[slice]:
+    """The row slices of segments of these lengths, stacked in order."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - n, end) for n, end in zip(lengths, ends)]
+
+
+def _n_dropouts(config: ModelConfig, kind: str) -> int:
+    """Dropout layers a stack applies to each of its rows: the embedding's
+    and one per sublayer."""
+    return 1 + getattr(config, f"n_{kind}_blocks") * len(BLOCK_LAYOUT[kind])
+
+
+def dropout_draws(config: ModelConfig, n_input: int, n_target: int) -> int:
+    """The number of uniforms one training example's dropout draws: every
+    dropout layer of the encoder over its n_input rows, then every one of the
+    decoder over its n_target - 1 rows, in the order forward_loss applies
+    them."""
+    rows = _n_dropouts(config, "enc") * n_input + _n_dropouts(config, "dec") * (n_target - 1)
+    return rows * config.d_model
+
+
+def dropout_keep(config: ModelConfig, rng: np.random.Generator, n_input: int, n_target: int) -> np.ndarray:
+    """One training example's dropout keep masks, every layer's in the order
+    forward_loss applies them, drawn as one rng.random(n) >= dropout.
+    Generator.random takes one 64-bit draw per double, so this draws the
+    values, and leaves the rng in the state, that drawing each layer's
+    uniforms in turn would."""
+    return rng.random(dropout_draws(config, n_input, n_target)) >= config.dropout
+
+
+def _layer_keeps(per_segment):
+    """Each dropout layer's keep mask over a chunk's stacked rows, in layer
+    order, out of per-segment (n_layers, T_i, d_model) keep masks."""
+    for layer in zip(*per_segment):
+        yield np.concatenate(layer)
+
+
+def _chunk_keeps(config, rng, seqs, targets):
+    """The encoder's and the decoder's keep-mask iterators for a chunk's
+    dropout: each example's keep masks, drawn by dropout_keep when rng is a
+    Generator or else taken from the list rng."""
+    if not isinstance(rng, np.random.Generator) and len(rng) != len(seqs):
+        raise ModelError(f"{len(rng)} dropout keep masks for a chunk of {len(seqs)} examples")
+    d = config.d_model
+    enc_keep, dec_keep = [], []
+    for i, (seq, target) in enumerate(zip(seqs, targets)):
+        n_in, n_target = len(seq.ids), len(target)
+        keep = dropout_keep(config, rng, n_in, n_target) if isinstance(rng, np.random.Generator) else rng[i]
+        n = dropout_draws(config, n_in, n_target)
+        if keep.dtype != np.bool_ or keep.shape != (n,):
+            raise ModelError(f"dropout keep mask of {keep.dtype} {keep.shape} for an example that draws {n}")
+        n_enc = _n_dropouts(config, "enc") * n_in * d
+        enc_keep.append(keep[:n_enc].reshape(-1, n_in, d))
+        dec_keep.append(keep[n_enc:].reshape(-1, n_target - 1, d))
+    return _layer_keeps(enc_keep), _layer_keeps(dec_keep)
+
+
+def _embed_fwd(tensors, ids, rows, ln_prefix, p_drop, rng):
+    positions = np.concatenate([np.arange(r.stop - r.start) for r in rows])
+    e = tensors["tok_emb"][ids] + tensors["pos_emb"][positions]
     x, c_ln = layers.layer_norm_fwd(e, tensors[f"{ln_prefix}_g"], tensors[f"{ln_prefix}_b"])
     x, m = layers.dropout_fwd(x, p_drop, rng)
-    return x, (ids, c_ln, m)
+    return x, (ids, rows, c_ln, m)
 
 
 def _embed_bwd(dx, cache, ln_prefix, grads, tensors):
-    ids, c_ln, m = cache
+    ids, rows, c_ln, m = cache
     dx = layers.dropout_bwd(dx, m)
     de, dg, db = layers.layer_norm_bwd(dx, c_ln)
     _acc(grads, f"{ln_prefix}_g", dg)
@@ -209,7 +269,8 @@ def _embed_bwd(dx, cache, ln_prefix, grads, tensors):
     np.add.at(grads["tok_emb"], ids, de)
     if "pos_emb" not in grads:
         grads["pos_emb"] = np.zeros_like(tensors["pos_emb"])
-    grads["pos_emb"][: len(ids)] += de
+    for r in rows:  # a slice add per segment: np.add.at is ten times slower here
+        grads["pos_emb"][: r.stop - r.start] += de[r]
 
 
 def _acc(grads, name, value):
@@ -219,7 +280,7 @@ def _acc(grads, name, value):
         grads[name] = value
 
 
-def _block_fwd(x, params, pfx, layout, mask, memory, p_drop, rng):
+def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, rng):
     tensors, n_heads = params.tensors, params.config.n_heads
     caches = []
     for sub, ln in layout:
@@ -227,9 +288,9 @@ def _block_fwd(x, params, pfx, layout, mask, memory, p_drop, rng):
         if sub == "ffn":
             f, c_f = layers.ffn_fwd(x, p)
         elif sub == "self":
-            f, c_f = layers.attention_fwd(x, x, p, n_heads, mask=mask)
+            f, c_f = layers.attention_fwd(x, x, p, n_heads, mask=masks["self"])
         else:
-            f, c_f = layers.attention_fwd(x, memory, p, n_heads)
+            f, c_f = layers.attention_fwd(x, memory, p, n_heads, mask=masks["cross"])
         f, m = layers.dropout_fwd(f, p_drop, rng)
         x, c_ln = layers.layer_norm_fwd(x + f, tensors[f"{pfx}.{ln}_g"], tensors[f"{pfx}.{ln}_b"])
         caches.append((c_f, m, c_ln))
@@ -258,14 +319,24 @@ def _block_bwd(dout, caches, pfx, layout, grads):
     return dout, d_memory
 
 
-def _stack_fwd(params, kind, ids, memory=None, p_drop=0.0, rng=None):
+def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, rng=None):
     """Embedding plus the blocks of the encoder ("enc") or of the causal
-    decoder ("dec"), which cross-attends over memory."""
-    x, c_emb = _embed_fwd(params.tensors, ids, f"{kind}_emb_ln", p_drop, rng)
-    mask = layers.causal_mask(len(ids), dtype=x.dtype) if kind == "dec" else None
+    decoder ("dec") on a chunk: ids holds the examples' ids one after another
+    and rows their row slices.  Attention stays inside an example's rows; the
+    decoder's segment i cross-attends over segment i of memory, a pair of the
+    stacked encoder output and its row slices."""
+    x, c_emb = _embed_fwd(params.tensors, ids, rows, f"{kind}_emb_ln", p_drop, rng)
+    if kind == "dec":
+        memory, memory_rows = memory
+        masks = {
+            "self": [(r, r, layers.causal_mask(r.stop - r.start, dtype=x.dtype)) for r in rows],
+            "cross": [(r, m, None) for r, m in zip(rows, memory_rows)],
+        }
+    else:
+        masks = {"self": [(r, r, None) for r in rows]}
     caches = []
     for i in range(getattr(params.config, f"n_{kind}_blocks")):
-        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], mask, memory, p_drop, rng)
+        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], masks, memory, p_drop, rng)
         caches.append(cache)
     return x, (c_emb, caches)
 
@@ -297,7 +368,7 @@ def encode_thread(
         raise ModelError("cannot encode an empty token sequence")
     if len(seq.ids) > params.config.max_len:
         raise ModelError(f"sequence of {len(seq.ids)} ids exceeds max_len {params.config.max_len}")
-    enc, _ = _stack_fwd(params, "enc", seq.ids)
+    enc, _ = _stack_fwd(params, "enc", seq.ids, _row_slices([len(seq.ids)]))
     if disable_attention:
         return EncodedThread(enc=enc, enc_att=enc)
     tokw = token_weights(seq, weights).astype(enc.dtype)
@@ -306,7 +377,9 @@ def encode_thread(
 
 def decoder_logits(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) -> np.ndarray:
     """Teacher-forced logits for every prefix position, shape (len(prefix), V)."""
-    y, _ = _stack_fwd(params, "dec", list(prefix), enc_att)
+    prefix = list(prefix)
+    memory = (enc_att, _row_slices([len(enc_att)]))
+    y, _ = _stack_fwd(params, "dec", prefix, _row_slices([len(prefix)]), memory)
     logits, _ = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
     return logits
 
@@ -426,58 +499,79 @@ def forward_loss(
 ):
     """Label-smoothed KL loss of the teacher-forced target plus full gradients.
 
-    Positions whose gold token is [PAD] are excluded from the mean.  Returns
-    (loss, gradient dict shaped like params.tensors).  A non-finite loss
-    raises NumericsError; training checks the summed gradient once per step.
+    seq, weights and target are one example's, or parallel lists of a
+    chunk's examples; a chunk runs as one forward and backward pass over the
+    examples' stacked rows, with attention kept inside each example, and
+    returns the sum of the examples' losses and of their gradients.  Each
+    example's loss is the mean over its positions whose gold token is not
+    [PAD].  rng is None (no dropout), a Generator or, for a chunk, each
+    example's dropout_keep(...) masks already drawn; from a Generator each
+    example draws its dropout_keep(...) in turn.  Returns (loss, gradient
+    dict shaped like params.tensors).  A non-finite loss raises
+    NumericsError; training checks the summed gradient once per step.
     """
     cfg = params.config
-    target = list(target)
-    if len(target) < 2 or target[0] != BOS or target[-1] != EOS:
-        raise ModelError("target must start with [BOS] and end with [EOS]")
-    if len(target) > cfg.max_len:
-        raise ModelError(f"target of {len(target)} ids exceeds max_len {cfg.max_len}")
+    if isinstance(seq, TokenSeq):
+        seq, weights, target = [seq], [weights], [target]
+    if not 0 < len(seq) == len(weights) == len(target):
+        raise ModelError("a chunk needs non-empty parallel lists of inputs, weights and targets")
+    seqs, targets = seq, [list(t) for t in target]
+    for t in targets:
+        if len(t) < 2 or t[0] != BOS or t[-1] != EOS:
+            raise ModelError("target must start with [BOS] and end with [EOS]")
+        if len(t) > cfg.max_len:
+            raise ModelError(f"target of {len(t)} ids exceeds max_len {cfg.max_len}")
+    enc_rows = _row_slices([len(s.ids) for s in seqs])
+    dec_rows = _row_slices([len(t) - 1 for t in targets])
 
     p_drop = cfg.dropout if rng is not None else 0.0
-    enc, enc_cache = _stack_fwd(params, "enc", seq.ids, p_drop=p_drop, rng=rng)
+    enc_keeps, dec_keeps = _chunk_keeps(cfg, rng, seqs, targets) if p_drop > 0 else (None, None)
+    enc_ids = [i for s in seqs for i in s.ids]
+    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, rng=enc_keeps)
     if disable_attention:
         enc_att = enc
         tokw = None
     else:
-        tokw = token_weights(seq, weights).astype(enc.dtype)
+        tokw = np.concatenate([token_weights(s, w) for s, w in zip(seqs, weights)]).astype(enc.dtype)
         enc_att = enc * tokw[:, None]
 
-    dec_in = target[:-1]
-    gold = np.asarray(target[1:])
-    y, dec_cache = _stack_fwd(params, "dec", dec_in, enc_att, p_drop, rng)
+    dec_in = [i for t in targets for i in t[:-1]]
+    gold = np.asarray([i for t in targets for i in t[1:]])
+    y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps)
     logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
 
-    # loss: mean over non-PAD rows of KL(q || softmax), where q puts 1-eps on
-    # the gold token and u = eps/(V-2) on every other non-PAD one, so sum q log q
-    # is one constant; non-finiteness is checked explicitly, so let nan/inf propagate
+    # each example's loss: the mean over its non-PAD rows of KL(q || softmax),
+    # where q puts 1-eps on the gold token and u = eps/(V-2) on every other
+    # non-PAD one, so sum q log q is one constant; non-finiteness is checked
+    # explicitly, so let nan/inf propagate
     mask = gold != PAD
-    n_eff = int(mask.sum())
-    if n_eff == 0:
+    n_eff = [int(mask[r].sum()) for r in dec_rows]
+    if 0 in n_eff:
         raise ModelError("target contains no non-PAD positions to predict")
     eps = cfg.label_smoothing
     u = eps / (cfg.vocab_size - 2)
     q_log_q = (1.0 - eps) * math.log(1.0 - eps) + eps * math.log(u) if eps > 0 else 0.0
     rows = np.arange(len(gold))
     with np.errstate(invalid="ignore", over="ignore"):
-        logits64 = logits.astype(np.float64)
-        logz = logits64 - np.max(logits64, axis=-1, keepdims=True)
-        logp = logz - np.log(np.sum(np.exp(logz), axis=-1, keepdims=True))
+        # updated in place: a chunk's (rows, V) float64 arrays are its largest
+        logp = logits.astype(np.float64)
+        logp -= np.max(logp, axis=-1, keepdims=True)
+        logp -= np.log(np.sum(np.exp(logp), axis=-1, keepdims=True))
         logp_gold = logp[rows, gold]
         loss_rows = q_log_q - (1.0 - eps) * logp_gold - u * (logp.sum(axis=-1) - logp[:, PAD] - logp_gold)
-        loss = float(loss_rows[mask].mean())
+        loss = 0.0
+        for r in dec_rows:
+            loss += float(loss_rows[r][mask[r]].mean())
     if not math.isfinite(loss):
         raise NumericsError("non-finite loss")
 
-    # d loss / d logits = (softmax - q) / n_eff on the non-PAD rows
-    probs = np.exp(logp)
-    dlogits = probs - u
-    dlogits[:, PAD] = probs[:, PAD]
-    dlogits[rows, gold] = probs[rows, gold] - (1.0 - eps)
-    dlogits /= n_eff
+    # d loss / d logits = (softmax - q) / n_eff on each example's non-PAD rows
+    dlogits = np.exp(logp, out=logp)
+    probs_pad, probs_gold = dlogits[:, PAD].copy(), dlogits[rows, gold]
+    dlogits -= u
+    dlogits[:, PAD] = probs_pad
+    dlogits[rows, gold] = probs_gold - (1.0 - eps)
+    dlogits /= np.repeat(np.asarray(n_eff, dtype=np.float64), [r.stop - r.start for r in dec_rows])[:, None]
     dlogits[~mask] = 0.0
     dlogits = dlogits.astype(logits.dtype)
 

@@ -7,6 +7,18 @@ attention weights.  The loss is teacher-forced label-smoothed KL; the
 optimizer is Adam with a warmup-then-inverse-sqrt learning-rate schedule.
 Checkpoints carry parameters, optimizer moments and the rng state, so a
 resumed run continues bit-identically.
+
+A step samples its examples one at a time and packs consecutive ones into
+chunks of at most CHUNK_TOKENS input-plus-target tokens (an example above
+the budget gets a chunk of its own); each chunk is one forward_loss call,
+and the chunks' gradients are summed.  Right after sampling an example the
+step draws all of that example's dropout keep masks with one
+rng.random(n) >= dropout (model.dropout_keep).  A Generator's random()
+takes one 64-bit draw per double, so these are the masks, and the rng
+state after them is the state, that drawing each layer's uniforms during
+the example's own forward pass would give: the rng stream does not depend
+on how examples are chunked.  Keeping bool masks, not the float64
+uniforms, holds a chunk's pending draws to one byte per entry.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from __future__ import annotations
 import math
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,6 +38,7 @@ from threadsum.model import (
     ModelParams,
     NumericsError,
     attention_weights,
+    dropout_keep,
     forward_loss,
     init_params,
 )
@@ -70,6 +83,12 @@ def get_variant(variant_id: int) -> TaskVariant:
         raise TrainingError(f"variant must be 1..8, got {variant_id}")
     return VARIANTS[variant_id]
 
+
+# input plus target tokens of the examples one forward_loss call packs.  It
+# bounds the activations a chunk keeps alive for its backward pass: short
+# threads share a chunk, while long ones get a chunk each, so the default
+# model's peak memory does not grow with the batch
+CHUNK_TOKENS = 512
 
 # Adam moment decay rates and denominator epsilon
 ADAM_BETA1 = 0.9
@@ -191,6 +210,23 @@ def sample_target(
         target=target,
         sampled_comment_indices=indices,
     )
+
+
+def token_chunks(items, n_tokens):
+    """Group items, in order, into lists of consecutive items whose
+    n_tokens(item) sum to at most CHUNK_TOKENS; an item above the budget gets
+    a list of its own.  Lazy: a list is yielded once the next item is known
+    not to fit, or the items run out."""
+    chunk, total = [], 0
+    for item in items:
+        n = n_tokens(item)
+        if chunk and total + n > CHUNK_TOKENS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
+    if chunk:
+        yield chunk
 
 
 def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig) -> None:
@@ -316,12 +352,15 @@ def train(
     disabled in the loss when the variant calls for it.  Every eval_every
     steps a checkpoint is written to out_dir and, when a validation fold is
     given, scored by XENT(Rouge) to track the best checkpoint.  Fully
-    deterministic given the seed.
+    deterministic given the seed.  An initial_state must hold the given
+    variant and config.
     """
     from threadsum.decoding import DecodeConfig
 
     if not corpus:
         raise TrainingError("training corpus is empty")
+    if initial_state is not None:
+        _check_state_matches(initial_state, variant, config)
     state = initial_state if initial_state is not None else new_state(config, variant, seed)
     decode_config = decode_config or DecodeConfig()
     metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
@@ -330,21 +369,29 @@ def train(
     while state.step < schedule.max_steps:
         state.step += 1
         idxs = state.rng.integers(0, len(corpus), size=opt.batch_size)
-        batch_loss = 0.0
-        grad_sum: dict[str, np.ndarray] | None = None
-        try:
+
+        def sampled():
+            """Each example with its dropout keep masks, drawn right after it."""
             for i in idxs:
                 thread = corpus[int(i)]
                 example = sample_target(
                     thread, attention_weights(thread), variant, vocab, state.rng, config.max_len
                 )
+                n_input, n_target = len(example.input_seq.ids), len(example.target)
+                yield example, dropout_keep(config, state.rng, n_input, n_target) if config.dropout > 0 else None
+
+        batch_loss = 0.0
+        grad_sum: dict[str, np.ndarray] | None = None
+        try:
+            for chunk in token_chunks(sampled(), lambda pair: len(pair[0].input_seq.ids) + len(pair[0].target)):
+                examples = [example for example, _ in chunk]
                 loss, grads = forward_loss(
                     state.params,
-                    example.input_seq,
-                    example.weights,
-                    example.target,
+                    [example.input_seq for example in examples],
+                    [example.weights for example in examples],
+                    [example.target for example in examples],
                     disable_attention=not variant.attention_encoding,
-                    rng=state.rng if config.dropout > 0 else None,
+                    rng=[keep for _, keep in chunk] if config.dropout > 0 else None,
                 )
                 batch_loss += loss
                 if grad_sum is None:
@@ -370,6 +417,17 @@ def train(
                 state, out_dir, vocab, vocab_sha, val_corpus, decode_config, metrics_path
             )
     return state
+
+
+def _check_state_matches(state: TrainState, variant: TaskVariant, config: ModelConfig) -> None:
+    """Sampling follows the variant and config arguments while checkpoints
+    record the state's, so the two must agree."""
+    if state.variant != variant:
+        raise TrainingError(f"initial_state holds variant {state.variant.id}, but variant {variant.id} was given")
+    for field in fields(ModelConfig):
+        held, given = getattr(state.params.config, field.name), getattr(config, field.name)
+        if held != given:
+            raise TrainingError(f"initial_state's model config has {field.name}={held}, but config has {field.name}={given}")
 
 
 def _checkpoint_and_eval(

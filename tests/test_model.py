@@ -8,6 +8,7 @@ import pytest
 from threadsum import layers
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum.model import (
+    BLOCK_LAYOUT,
     AttentionWeights,
     IncrementalDecoder,
     ModelConfig,
@@ -17,6 +18,8 @@ from threadsum.model import (
     attention_weights,
     decode_step,
     decoder_logits,
+    dropout_draws,
+    dropout_keep,
     encode_thread,
     forward_loss,
     init_params,
@@ -244,6 +247,29 @@ class TestLayerNorm:
                 out, _ = layers.layer_norm_fwd(x, gamma, beta)
                 assert out.dtype == dtype
                 np.testing.assert_array_equal(out, expected)
+
+    def test_backward_equals_the_mean_formula_bit_for_bit(self):
+        """The backward pass's two row means, taken as sums divided by d,
+        repeat ndarray.mean."""
+        rng = np.random.default_rng(23)
+        for dtype in (np.float32, np.float64):
+            for shape in ((5, 48), (53, 48), (3, 128)):
+                x = rng.normal(1.0, 3.0, shape).astype(dtype)
+                dout = rng.normal(size=shape).astype(dtype)
+                gamma = rng.normal(size=shape[-1]).astype(dtype)
+                _, cache = layers.layer_norm_fwd(x, gamma, np.zeros_like(gamma))
+                xhat, inv_std, _ = cache
+                dxhat = dout * gamma
+                expected = inv_std * (
+                    dxhat
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                )
+                dx, dgamma, dbeta = layers.layer_norm_bwd(dout, cache)
+                assert dx.dtype == dtype
+                np.testing.assert_array_equal(dx, expected)
+                np.testing.assert_array_equal(dgamma, (dout * xhat).sum(axis=0))
+                np.testing.assert_array_equal(dbeta, dout.sum(axis=0))
 
 
 
@@ -527,3 +553,104 @@ class TestLossHeadWithPad:
 def test_vocab_must_cover_the_special_tokens(vocab_size):
     with pytest.raises(ModelError, match="vocab_size"):
         ModelConfig(**{**TINY.__dict__, "vocab_size": vocab_size})
+
+
+def chunk_inputs(seed):
+    """Parallel lists of three examples with unequal input and target
+    lengths; the second target holds [PAD] positions."""
+    rng = np.random.default_rng(seed)
+    seqs, weights, targets = [], [], []
+    for n_in, n_out in ((13, 6), (7, 4), (10, 9)):
+        ids = [int(i) for i in rng.integers(5, TINY.vocab_size, size=n_in)]
+        cut = n_in // 2
+        ids[cut] = SEP
+        seqs.append(TokenSeq(ids=ids, spans=[(0, cut, 0), (cut + 1, n_in, 1)]))
+        weights.append(AttentionWeights(weights=np.array([1.0, rng.uniform(0.1, 1.0)])))
+        targets.append([BOS] + [int(i) for i in rng.integers(5, TINY.vocab_size, size=n_out)] + [EOS])
+    targets[1][2] = PAD
+    targets[1][3] = PAD
+    return seqs, weights, targets
+
+
+class TestChunk:
+    """forward_loss on a chunk: parallel lists of examples run as one pass
+    over their stacked rows, with attention kept inside each example."""
+
+    @pytest.mark.parametrize("disable_attention", [False, True])
+    def test_gradient_matches_finite_differences(self, disable_attention):
+        params = init_params(TINY, seed=24, dtype=np.float64)
+        seqs, weights, targets = chunk_inputs(25)
+
+        def loss(p):
+            return forward_loss(p, seqs, weights, targets, disable_attention=disable_attention)
+
+        _, grads = loss(params)
+        assert set(grads) == set(params.tensors)
+        rng = np.random.default_rng(26)
+        h = 1e-4
+        failures = []
+        for name, tensor in params.tensors.items():
+            for flat_i in rng.choice(tensor.size, size=min(30, tensor.size), replace=False):
+                original = tensor.flat[flat_i]
+                tensor.flat[flat_i] = original + h
+                up, _ = loss(params)
+                tensor.flat[flat_i] = original - h
+                down, _ = loss(params)
+                tensor.flat[flat_i] = original
+                numeric = (up - down) / (2 * h)
+                analytic = grads[name].flat[flat_i]
+                err = abs(analytic - numeric)
+                if err > 1e-4 * max(abs(analytic), abs(numeric)) and err > 1e-8:
+                    failures.append((name, int(flat_i), analytic, numeric))
+        assert not failures, f"{len(failures)} mismatches, first: {failures[:3]}"
+
+    def test_equals_the_sum_of_its_examples_with_dropout(self):
+        """With dropout drawn from one seed, the chunk's loss and gradients
+        are the sums of one forward_loss per example, up to reassociation."""
+        config = ModelConfig(**{**TINY.__dict__, "dropout": 0.1})
+        params = init_params(config, seed=27, dtype=np.float64)
+        seqs, weights, targets = chunk_inputs(28)
+        chunk_rng, single_rng = np.random.default_rng(29), np.random.default_rng(29)
+        loss, grads = forward_loss(params, seqs, weights, targets, rng=chunk_rng)
+        total, summed = 0.0, {}
+        for example in zip(seqs, weights, targets):
+            l, g = forward_loss(params, *example, rng=single_rng)
+            total += l
+            for name, value in g.items():
+                summed[name] = summed[name] + value if name in summed else value
+        assert chunk_rng.bit_generator.state == single_rng.bit_generator.state
+        assert abs(loss - total) <= 1e-12 * abs(total)
+        largest = max(np.abs(g).max() for g in summed.values())
+        for name in summed:
+            np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12 * largest, err_msg=name)
+
+    def test_keep_masks_are_the_per_layer_draws(self):
+        """dropout_keep's one draw per example gives the keep masks, and
+        leaves the Generator in the state, that drawing each dropout layer's
+        (rows, d_model) uniforms in forward order would: the encoder's
+        layers, then the decoder's.  forward_loss draws the same from a
+        Generator, example after example."""
+        config = ModelConfig(**{**TINY.__dict__, "dropout": 0.1})
+        params = init_params(config, seed=33)
+        seqs, weights, targets = chunk_inputs(34)
+        rng, at_once, per_layer = (np.random.default_rng(35) for _ in range(3))
+        forward_loss(params, seqs, weights, targets, rng=rng)
+        for seq, target in zip(seqs, targets):
+            keep = dropout_keep(config, at_once, len(seq.ids), len(target))
+            uniforms = [
+                per_layer.random((rows, config.d_model)).ravel()
+                for kind, rows in (("enc", len(seq.ids)), ("dec", len(target) - 1))
+                for _ in range(1 + getattr(config, f"n_{kind}_blocks") * len(BLOCK_LAYOUT[kind]))
+            ]
+            np.testing.assert_array_equal(keep, np.concatenate(uniforms) >= config.dropout)
+            assert len(keep) == dropout_draws(config, len(seq.ids), len(target))
+        assert rng.bit_generator.state == at_once.bit_generator.state == per_layer.bit_generator.state
+
+    def test_malformed_keep_masks_rejected(self):
+        config = ModelConfig(**{**TINY.__dict__, "dropout": 0.1})
+        params = init_params(config, seed=36)
+        seqs, weights, targets = chunk_inputs(37)
+        keeps = [np.ones(dropout_draws(config, len(s.ids), len(t)), dtype=bool) for s, t in zip(seqs, targets)]
+        for bad in (keeps[:2], keeps[:2] + [keeps[2][:-1]], keeps[:2] + [keeps[2].astype(np.float64)]):
+            with pytest.raises(ModelError, match="keep mask"):
+                forward_loss(params, seqs, weights, targets, rng=bad)

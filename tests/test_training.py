@@ -8,9 +8,10 @@ import pytest
 from threadsum.checkpoint import CheckpointError, write_tensors
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum import training
-from threadsum.model import ModelConfig, attention_weights
+from threadsum.model import ModelConfig, attention_weights, forward_loss
 from threadsum.tokenizer import BOS, EOS, SEP, save_vocab, train_vocab, vocab_hash
 from threadsum.training import (
+    CHUNK_TOKENS,
     OptimizerConfig,
     TrainingDiverged,
     TrainingError,
@@ -23,6 +24,7 @@ from threadsum.training import (
     sample_comment_indices,
     sample_target,
     save_checkpoint,
+    token_chunks,
     train,
 )
 
@@ -370,3 +372,117 @@ class TestGradientCheckedOncePerStep:
         for kind, tensors in before.items():
             for name, tensor in tensors.items():
                 np.testing.assert_array_equal(after[kind][name], tensor, err_msg=f"{kind} {name}")
+
+
+def reference_step(state, corpus, vocab, variant, config, opt):
+    """The training step before examples were packed into chunks, kept
+    verbatim: one forward_loss per example, each drawing its dropout from
+    state.rng inside the call."""
+    state.step += 1
+    idxs = state.rng.integers(0, len(corpus), size=opt.batch_size)
+    batch_loss = 0.0
+    grad_sum = None
+    for i in idxs:
+        thread = corpus[int(i)]
+        example = sample_target(
+            thread, attention_weights(thread), variant, vocab, state.rng, config.max_len
+        )
+        loss, grads = forward_loss(
+            state.params,
+            example.input_seq,
+            example.weights,
+            example.target,
+            disable_attention=not variant.attention_encoding,
+            rng=state.rng if config.dropout > 0 else None,
+        )
+        batch_loss += loss
+        if grad_sum is None:
+            grad_sum = grads
+        else:
+            for name in grad_sum:
+                grad_sum[name] += grads[name]
+    scale = 1.0 / opt.batch_size
+    for name in grad_sum:
+        grad_sum[name] *= scale
+    training._adam_update(state, grad_sum, opt)
+    state.last_train_loss = batch_loss / opt.batch_size
+
+
+class TestChunkedStep:
+    """A step packs its examples into token-budgeted chunks, one forward_loss
+    call each, and keeps the per-example step's rng stream and results."""
+
+    def test_token_chunks_keep_order_and_isolate_long_items(self):
+        sizes = [100, 300, 200, CHUNK_TOKENS + 50, 10, CHUNK_TOKENS - 10, 12, CHUNK_TOKENS]
+        chunks = list(token_chunks(range(len(sizes)), sizes.__getitem__))
+        assert chunks == [[0, 1], [2], [3], [4, 5], [6], [7]]
+        assert [i for chunk in chunks for i in chunk] == list(range(len(sizes)))
+        for chunk in chunks:
+            assert len(chunk) == 1 or sum(sizes[i] for i in chunk) <= CHUNK_TOKENS
+        assert list(token_chunks([], len)) == []
+
+    def test_matches_the_per_example_step(self, monkeypatch):
+        """Five float32 steps at the directional config with dropout 0.1:
+        after every step the rng state is bit-equal, the batch losses agree
+        to 1e-6 and the parameters to float32 reassociation."""
+        from threadsum.corpus import RawComment, RawThread, preprocess
+        from threadsum.synth import make_corpus as synth_corpus
+
+        raw = [
+            RawThread(d["id"], d["title"], [RawComment(c["text"], c["likes"]) for c in d["comments"]])
+            for d in synth_corpus(40, seed=38, style="graded")
+        ]
+        corpus = preprocess(raw)
+        vocab = train_vocab(corpus, vocab_size=420)
+        config = ModelConfig(
+            vocab_size=len(vocab), d_model=48, n_enc_blocks=1, n_dec_blocks=1,
+            n_heads=4, d_ff=96, max_len=128, dropout=0.1, label_smoothing=0.1,
+        )
+        opt = OptimizerConfig(lr_peak=1e-3, warmup_steps=200, batch_size=8)
+        variant = get_variant(7)
+        chunked = new_state(config, variant, seed=39)
+        reference = new_state(config, variant, seed=39)
+
+        chunk_sizes = []
+
+        def recording(params, seq, *args, **kwargs):
+            chunk_sizes.append(len(seq))
+            return forward_loss(params, seq, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_loss", recording)
+        for step in range(1, 6):
+            train(corpus, vocab, variant, config, opt, TrainSchedule(step, 0), initial_state=chunked)
+            reference_step(reference, corpus, vocab, variant, config, opt)
+            assert chunked.rng.bit_generator.state == reference.rng.bit_generator.state
+            assert abs(chunked.last_train_loss - reference.last_train_loss) <= 1e-6 * reference.last_train_loss
+            for name, tensor in reference.params.tensors.items():
+                assert chunked.params.tensors[name].dtype == np.float32
+                # rtol covers reassociated sums; atol the key biases, whose
+                # exact gradient is 0, so Adam turns their rounding into updates
+                np.testing.assert_allclose(
+                    chunked.params.tensors[name], tensor, rtol=1e-5, atol=1e-6, err_msg=name
+                )
+        assert sum(chunk_sizes) == 5 * opt.batch_size
+        assert max(chunk_sizes) > 1 and len(chunk_sizes) > 5  # packed, and more than one chunk a step
+
+
+class TestInitialStateMustMatch:
+    """Sampling follows the variant and config arguments while checkpoints
+    record the state's, so train refuses a state that disagrees with them."""
+
+    def test_variant_mismatch_rejected(self, small_setup):
+        corpus, vocab, config = small_setup
+        state = new_state(config, get_variant(7), seed=0)
+        with pytest.raises(TrainingError, match="variant"):
+            train(corpus, vocab, get_variant(5), config, OptimizerConfig(batch_size=2),
+                  TrainSchedule(1, 0), initial_state=state)
+        assert state.step == 0
+
+    def test_config_mismatch_names_the_field(self, small_setup):
+        corpus, vocab, config = small_setup
+        state = new_state(config, get_variant(7), seed=0)
+        other = ModelConfig(**{**config.__dict__, "dropout": 0.3})
+        with pytest.raises(TrainingError, match="dropout"):
+            train(corpus, vocab, get_variant(7), other, OptimizerConfig(batch_size=2),
+                  TrainSchedule(1, 0), initial_state=state)
+        assert state.step == 0
