@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from threadsum.checkpoint import replace_when_done
+
 FOLDS = ("train", "validation", "test")
 
 
@@ -201,8 +203,9 @@ def thread_to_json(thread: CleanThread) -> dict:
 
 
 def save_clean(threads: list[CleanThread], path) -> None:
-    """Write clean threads as JSONL (same schema as the raw corpus + fold)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write clean threads as JSONL (same schema as the raw corpus + fold),
+    replacing path only once every thread is written."""
+    with replace_when_done(path) as fh:
         for thread in threads:
             fh.write(json.dumps(thread_to_json(thread), ensure_ascii=False) + "\n")
 

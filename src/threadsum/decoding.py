@@ -6,14 +6,14 @@ complete an n-gram already present in its hypothesis gets probability zero
 before top-k selection, so no returned hypothesis repeats an n-gram of the
 blocked size.  With beam_size 1 the search degenerates to greedy decoding.
 
-One search loop serves both entry points and asks for the distributions of
-all live hypotheses at once.  beam_search drives the model's
-IncrementalDecoder, which advances every live hypothesis by one position
-per step from cached keys and values; beam_search_fn calls an arbitrary
-per-prefix distribution function once per live hypothesis.
-
-The loop keeps the live beam as arrays: an (n_live, length) id matrix and
-a vector of summed log probabilities.  blocked_pairs finds the blocked
+One search loop, _search, serves both entry points.  It owns the beam
+tree: the live beam is an (n_live, length) id matrix and a vector of
+summed log probabilities, and each step it asks for the distributions of
+all rows at once, passing the matrix and each row's parent, its row in the
+previous step's matrix.  beam_search drives the model's
+IncrementalDecoder, which advances every row by one position from cached
+keys and values; beam_search_fn calls an arbitrary per-prefix
+distribution function once per row.  blocked_pairs finds the blocked
 tokens of all rows at once; blocked_tokens, its per-hypothesis reference,
 is kept for the tests.  Rankings, ties included, equal those of the
 list-based loop that tests/test_decoding.py keeps as reference_search.
@@ -102,8 +102,8 @@ def beam_search_fn(
     hypotheses cut off at max_out_len are marked finished without [EOS].
     """
 
-    def step_all(prefixes):
-        return np.stack([np.asarray(step_fn(list(p)), dtype=np.float64) for p in prefixes])
+    def step_all(ids, parents):
+        return np.stack([np.asarray(step_fn(row), dtype=np.float64) for row in ids.tolist()])
 
     return _search(step_all, cfg, vocab_size, trace)
 
@@ -133,18 +133,19 @@ def _check_distributions(probs: np.ndarray, n_live: int, vocab_size: int) -> Non
 
 
 def _search(
-    step_all: Callable[[list[list[int]]], np.ndarray],
+    step_all: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cfg: DecodeConfig,
     vocab_size: int,
     trace: list | None,
 ) -> list[Hypothesis]:
-    """The search loop; step_all maps the live prefixes of one step, as
-    lists of ids, to an (n_live, vocab_size) array of next-token
-    distributions.  Raises DecodeError for an array of another shape or a
-    row holding a NaN, negative or infinite entry.
+    """The search loop; step_all(ids, parents) maps one step's live
+    (n_live, length) int64 id matrix, whose row i extends row parents[i] of
+    the previous step's ([[BOS]] and [0] on the first step), to an
+    (n_live, vocab_size) array of next-token distributions.  Raises
+    DecodeError for an array of another shape or a row holding a NaN,
+    negative or infinite entry.
 
-    The live beam is an (n_live, length) id matrix and a vector of summed
-    log probabilities, in rank order; only finished hypotheses become
+    Live rows are kept in rank order; only finished hypotheses become
     Hypothesis objects.  Each row contributes its k most likely tokens
     (k = min(beam_size, vocab_size), ties to the lower id), and candidates
     rank by (-normalized score, ids) as the sort of Hypothesis objects would.
@@ -153,6 +154,7 @@ def _search(
     lp_max = length_penalty(cfg.max_out_len, alpha)
     k_top = min(vocab_size, cfg.beam_size)
     ids = np.full((1, 1), BOS, dtype=np.int64)
+    parents = np.zeros(1, dtype=np.intp)
     live_lp = np.zeros(1)
     # each live row's rank among the live rows in lexicographic order of ids
     live_rank = np.zeros(1, dtype=np.int64)
@@ -161,7 +163,7 @@ def _search(
 
     for _ in range(cfg.max_out_len):
         n_live, length = ids.shape
-        probs = step_all(ids.tolist())
+        probs = step_all(ids, parents)
         _check_distributions(probs, n_live, vocab_size)
         with np.errstate(divide="ignore"):
             cost = -np.log(probs)  # -log p; blocked and impossible tokens cost inf
@@ -192,7 +194,8 @@ def _search(
             finished.append(Hypothesis(tuple(ids[rows[i]].tolist()) + (EOS,), float(cand_lp[i]), True))
             finished_scores.append(float(score[i]))
         kept = ranked[~ends][: cfg.beam_size]
-        ids = np.concatenate((ids[rows[kept]], tokens[kept, None]), axis=1)
+        parents = rows[kept]
+        ids = np.concatenate((ids[parents], tokens[kept, None]), axis=1)
         live_lp = cand_lp[kept]
         live_rank = np.empty(len(kept), dtype=np.int64)
         live_rank[np.argsort(id_order[kept])] = np.arange(len(kept))

@@ -92,19 +92,17 @@ def gelu_bwd(dout, cache):
     return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
 
 
-def dropout_fwd(x, p: float, rng):
-    """Inverted dropout; identity (and no rng draw) when p == 0 or rng is None.
+def dropout_fwd(x, p: float, keeps):
+    """Inverted dropout; identity when p == 0 or keeps is None.
 
-    rng is a Generator, whose float64 uniforms at or above p keep their
-    positions, or an iterator yielding the bool keep mask, shaped like x,
-    of such a draw made earlier.  The draw is float64 at every dtype, so the
-    dropped positions depend only on the rng state; the mask, and so the
-    output, is in x's dtype.
+    keeps is an iterator yielding the bool keep mask, shaped like x, of a
+    float64 draw made earlier (model.dropout_keep: uniforms at or above p
+    keep their positions), so the dropped positions depend only on the rng
+    state at every dtype.  The mask, and so the output, is in x's dtype.
     """
-    if p <= 0.0 or rng is None:
+    if p <= 0.0 or keeps is None:
         return x, None
-    keep = rng.random(x.shape) >= p if isinstance(rng, np.random.Generator) else next(rng)
-    mask = keep.astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
+    mask = next(keeps).astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
     return x * mask, mask
 
 

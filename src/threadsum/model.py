@@ -15,8 +15,9 @@ exact hand-written backward pass; gradients are validated against central
 finite differences in the test suite.  Training runs forward_loss on a
 chunk of examples: their rows are stacked, the row-wise layers see all of
 them at once, and attention is block-diagonal, so no example attends to
-another's tokens.  IncrementalDecoder, used by beam search, is inference
-only: it keeps attention keys and values instead.
+another's tokens.  IncrementalDecoder is inference only: it keeps the
+attention keys and values of beam search's live rows, and the search names
+the parent row that each new row extends.
 """
 
 from __future__ import annotations
@@ -250,11 +251,11 @@ def _chunk_keeps(config, rng, seqs, targets):
     return _layer_keeps(enc_keep), _layer_keeps(dec_keep)
 
 
-def _embed_fwd(tensors, ids, rows, ln_prefix, p_drop, rng):
+def _embed_fwd(tensors, ids, rows, ln_prefix, p_drop, keeps):
     positions = np.concatenate([np.arange(r.stop - r.start) for r in rows])
     e = tensors["tok_emb"][ids] + tensors["pos_emb"][positions]
     x, c_ln = layers.layer_norm_fwd(e, tensors[f"{ln_prefix}_g"], tensors[f"{ln_prefix}_b"])
-    x, m = layers.dropout_fwd(x, p_drop, rng)
+    x, m = layers.dropout_fwd(x, p_drop, keeps)
     return x, (ids, rows, c_ln, m)
 
 
@@ -280,7 +281,7 @@ def _acc(grads, name, value):
         grads[name] = value
 
 
-def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, rng):
+def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, keeps):
     tensors, n_heads = params.tensors, params.config.n_heads
     caches = []
     for sub, ln in layout:
@@ -291,7 +292,7 @@ def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, rng):
             f, c_f = layers.attention_fwd(x, x, p, n_heads, mask=masks["self"])
         else:
             f, c_f = layers.attention_fwd(x, memory, p, n_heads, mask=masks["cross"])
-        f, m = layers.dropout_fwd(f, p_drop, rng)
+        f, m = layers.dropout_fwd(f, p_drop, keeps)
         x, c_ln = layers.layer_norm_fwd(x + f, tensors[f"{pfx}.{ln}_g"], tensors[f"{pfx}.{ln}_b"])
         caches.append((c_f, m, c_ln))
     return x, caches
@@ -319,13 +320,13 @@ def _block_bwd(dout, caches, pfx, layout, grads):
     return dout, d_memory
 
 
-def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, rng=None):
+def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, keeps=None):
     """Embedding plus the blocks of the encoder ("enc") or of the causal
     decoder ("dec") on a chunk: ids holds the examples' ids one after another
     and rows their row slices.  Attention stays inside an example's rows; the
     decoder's segment i cross-attends over segment i of memory, a pair of the
     stacked encoder output and its row slices."""
-    x, c_emb = _embed_fwd(params.tensors, ids, rows, f"{kind}_emb_ln", p_drop, rng)
+    x, c_emb = _embed_fwd(params.tensors, ids, rows, f"{kind}_emb_ln", p_drop, keeps)
     if kind == "dec":
         memory, memory_rows = memory
         masks = {
@@ -336,7 +337,7 @@ def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, rng=None):
         masks = {"self": [(r, r, None) for r in rows]}
     caches = []
     for i in range(getattr(params.config, f"n_{kind}_blocks")):
-        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], masks, memory, p_drop, rng)
+        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], masks, memory, p_drop, keeps)
         caches.append(cache)
     return x, (c_emb, caches)
 
@@ -397,17 +398,16 @@ def decode_step(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) -> 
 
 
 class IncrementalDecoder:
-    """Next-token distributions for the live prefixes of one encoded thread,
-    advanced together by one position per step.
+    """Next-token distributions for the live rows of one encoded thread's
+    beam, advanced together by one position per step.
 
-    The cross-attention keys and values of the fixed encoding are projected
-    once, at construction.  Every prefix of a step has the same length, and
-    its parent (the prefix minus its last token) must be one of the prefixes
-    of the previous step, or empty for the one-token [BOS] prefix of the
-    first step; several prefixes may share a parent.  A prefix gathers its
-    parent's self-attention keys and values and appends those of its own
-    last position, so a step costs one (n_live, d_model) pass whatever the
-    prefix length.  Only the rows of the latest step are kept.
+    The search loop owns the beam tree.  step(ids, parents) takes its
+    (n_live, length) id matrix, one id longer than the previous step's, and
+    parents[i], the row of the previous step's matrix that row i extends;
+    the first step is ids [[BOS]], parents [0].  Row i gathers its parent's
+    self-attention keys and values and appends those of ids[i, -1], so a
+    step costs one (n_live, d_model) pass whatever the length.  The
+    cross-attention keys and values of the encoding are projected once.
 
     The distributions equal decode_step's up to the float rounding of
     matmuls over fewer rows.
@@ -435,34 +435,32 @@ class IncrementalDecoder:
             k, _ = layers.linear_fwd(enc_att, t[f"{pfx}.cross.Wk"], t[f"{pfx}.cross.bk"])
             v, _ = layers.linear_fwd(enc_att, t[f"{pfx}.cross.Wv"], t[f"{pfx}.cross.bv"])
             self.cross_kv.append((layers._split_heads(k, self.n_heads), layers._split_heads(v, self.n_heads)))
-        d_head = cfg.d_model // cfg.n_heads
-        empty = np.zeros((1, self.n_heads, 0, d_head), dtype=params.dtype)
-        self._rows: dict[tuple[int, ...], int] = {(): 0}
-        self._kv = [(empty, empty)] * cfg.n_dec_blocks  # (rows, heads, length, d_head)
+        empty = np.zeros((1, self.n_heads, 0, cfg.d_model // cfg.n_heads), dtype=params.dtype)
+        self._kv = [(empty, empty)] * cfg.n_dec_blocks  # the previous step's (rows, heads, length, d_head)
 
-    def step(self, prefixes) -> np.ndarray:
-        """Next-token distributions after each prefix, shape (len(prefixes), V), float64.
-
-        Raises ModelError for an invalid prefix and KeyError for a prefix
-        whose parent was not advanced by the previous step.
-        """
-        prefixes = [tuple(p) for p in prefixes]
-        if not prefixes:
-            raise ModelError("step needs at least one prefix")
-        length = len(prefixes[0])
-        if any(len(p) != length for p in prefixes):
-            raise ModelError("all prefixes of one step must have the same length")
-        if length == 0:
-            raise ModelError("prefix must be non-empty (start with [BOS])")
-        if any(p[0] != BOS for p in prefixes):
-            raise ModelError("prefix must start with [BOS]")
+    def step(self, ids: np.ndarray, parents) -> np.ndarray:
+        """Next-token distributions after each row of ids, shape (n_live, V),
+        float64.  Raises ModelError for malformed ids or parents, a length
+        that is not the previous step's plus one or reaches max_len, a first
+        step not at [BOS], or a parent outside the previous step's rows."""
+        parents = np.asarray(parents)
+        n_prev, _, prev_length, _ = self._kv[0][0].shape
+        if ids.ndim != 2 or len(ids) == 0 or parents.shape != ids.shape[:1] or parents.dtype.kind not in "iu":
+            raise ModelError(f"step needs a non-empty id matrix and one integer parent per row, "
+                             f"got ids {ids.shape} and parents {parents.dtype} {parents.shape}")
+        n, length = ids.shape
+        if length != prev_length + 1:
+            raise ModelError(f"rows of {length} ids after rows of {prev_length}; each step adds one id")
         if length >= self.max_len:
             raise ModelError(f"prefix of {length} ids too long for max_len {self.max_len}")
-        parents = [self._rows[p[:-1]] for p in prefixes]
+        if length == 1 and (ids[:, 0] != BOS).any():
+            raise ModelError("prefix must start with [BOS]")
+        if parents.min() < 0 or parents.max() >= n_prev:
+            raise ModelError(f"parent rows must lie in [0, {n_prev}), got {parents.min()} to {parents.max()}")
 
-        y = self.tok_emb[[p[-1] for p in prefixes]] + self.pos_emb[length - 1]
+        y = self.tok_emb[ids[:, -1]] + self.pos_emb[length - 1]
         y, _ = layers.layer_norm_fwd(y, *self.emb_ln)
-        n, d = y.shape
+        d = y.shape[1]
         heads = (n, self.n_heads, 1, d // self.n_heads)  # one new position per row
         kv = []
         for block, (k_enc, v_enc), (k_past, v_past) in zip(self.blocks, self.cross_kv, self._kv):
@@ -484,7 +482,6 @@ class IncrementalDecoder:
                     f, _ = layers.linear_fwd(layers._merge_heads(ctx), p["Wo"], p["bo"])
                 y, _ = layers.layer_norm_fwd(y + f, *ln)
         self._kv = kv
-        self._rows = {p: row for row, p in enumerate(prefixes)}
         logits, _ = layers.linear_fwd(y, *self.lm)
         return layers.softmax(logits.astype(np.float64))
 
@@ -527,7 +524,7 @@ def forward_loss(
     p_drop = cfg.dropout if rng is not None else 0.0
     enc_keeps, dec_keeps = _chunk_keeps(cfg, rng, seqs, targets) if p_drop > 0 else (None, None)
     enc_ids = [i for s in seqs for i in s.ids]
-    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, rng=enc_keeps)
+    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, keeps=enc_keeps)
     if disable_attention:
         enc_att = enc
         tokw = None

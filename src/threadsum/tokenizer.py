@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from threadsum.checkpoint import replace_when_done
+
 PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[BOS]", "[EOS]", "[SEP]", "[UNK]")
 _END = "</w>"
@@ -259,13 +261,13 @@ def decode(vocab: Vocab, ids: list[int]) -> str:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    """Persist tokens one per line plus a sidecar key-value header."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Persist tokens one per line plus a sidecar key-value header; both
+    files are replaced only once both are written."""
+    with replace_when_done(path) as fh, replace_when_done(str(path) + ".meta") as meta:
         fh.write("\n".join(vocab.id_to_token) + "\n")
-    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"vocab_size={len(vocab)}\n")
-        fh.write(f"merges={vocab.n_merges}\n")
-        fh.write(f"lowercase={str(vocab.lowercase).lower()}\n")
+        meta.write(f"vocab_size={len(vocab)}\n")
+        meta.write(f"merges={vocab.n_merges}\n")
+        meta.write(f"lowercase={str(vocab.lowercase).lower()}\n")
 
 
 def load_vocab(path) -> Vocab:

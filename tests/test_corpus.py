@@ -205,6 +205,17 @@ class TestPartition:
         assert [t.id for t in threads] == [t.id for t in clean]
 
 
+class _UnwritableThread:
+    """Stands in for a thread whose comments cannot be read, so that a write
+    fails after earlier threads went out."""
+
+    id, title, fold = "x", "T", "train"
+
+    @property
+    def comments(self):
+        raise OSError("no space left on device")
+
+
 class TestRoundTrip:
     def test_save_load_clean(self, tmp_path):
         threads = partition(
@@ -237,6 +248,16 @@ class TestRoundTrip:
         train = load_clean(path, fold="train")
         assert all(t.fold == "train" for t in train)
         assert len(train) == sum(t.fold == "train" for t in threads)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        threads = preprocess([RawThread(f"t{i}", "T", [RawComment("uno dos tres cuatro cinco", i)]) for i in range(3)])
+        path = tmp_path / "clean.jsonl"
+        save_clean(threads, path)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="no space"):
+            save_clean(threads[:1] + [_UnwritableThread()], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.jsonl"]
 
 
 class TestLoadCleanValidates:

@@ -275,8 +275,23 @@ def reference_search(step_all, cfg, vocab_size, trace=None):
 
 
 def per_prefix(step_fn):
-    """The step_all that beam_search_fn builds from a per-prefix function."""
+    """reference_search's step_all over a per-prefix function, called once
+    per live prefix as beam_search_fn calls it."""
     return lambda prefixes: np.stack([np.asarray(step_fn(list(p)), dtype=np.float64) for p in prefixes])
+
+
+def cached(decoder):
+    """reference_search's step_all over an IncrementalDecoder: each live
+    prefix's parent row is looked up among the previous step's prefixes."""
+    rows = {(): 0}
+
+    def step_all(prefixes):
+        nonlocal rows
+        parents = [rows[p[:-1]] for p in prefixes]
+        rows = {p: row for row, p in enumerate(prefixes)}
+        return decoder.step(np.array(prefixes, dtype=np.int64), np.array(parents))
+
+    return step_all
 
 
 TIE_V = 7
@@ -443,7 +458,7 @@ class TestModelBeamSearch:
             enc_att = encode_thread(params, seq, attention_weights(thread)).enc_att
             for beam_size, block_ngram in ((1, 3), (3, 2), (5, 3), (8, 0)):
                 cfg = DecodeConfig(beam_size=beam_size, block_ngram=block_ngram, max_out_len=20)
-                want = reference_search(IncrementalDecoder(params, enc_att).step, cfg, len(vocab))
+                want = reference_search(cached(IncrementalDecoder(params, enc_att)), cfg, len(vocab))
                 assert_same_ranking(beam_search(params, enc_att, cfg), want)
 
     def test_empty_encoding_rejected(self):

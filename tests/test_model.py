@@ -180,8 +180,8 @@ class TestIncrementalDecoder:
         seq, weights, _ = tiny_inputs(rng)
         self.enc_att = encode_thread(self.params, seq, weights).enc_att
 
-    def assert_matches_reference(self, decoder, prefixes):
-        dists = decoder.step(prefixes)
+    def assert_matches_reference(self, decoder, prefixes, parents):
+        dists = decoder.step(np.array(prefixes, dtype=np.int64), np.asarray(parents))
         assert dists.shape == (len(prefixes), self.cfg.vocab_size)
         for prefix, dist in zip(prefixes, dists):
             reference = decode_step(self.params, self.enc_att, list(prefix))
@@ -189,21 +189,21 @@ class TestIncrementalDecoder:
 
     def test_shared_and_reordered_parents(self):
         decoder = IncrementalDecoder(self.params, self.enc_att)
-        self.assert_matches_reference(decoder, [(BOS,)])
-        self.assert_matches_reference(decoder, [(BOS, 6), (BOS, 7), (BOS, 9)])
+        self.assert_matches_reference(decoder, [(BOS,)], [0])
+        self.assert_matches_reference(decoder, [(BOS, 6), (BOS, 7), (BOS, 9)], [0, 0, 0])
         # (BOS, 9) is shared by three children and (BOS, 7) dies
         self.assert_matches_reference(
-            decoder, [(BOS, 9, 5), (BOS, 6, 8), (BOS, 9, 11), (BOS, 9, 6)]
+            decoder, [(BOS, 9, 5), (BOS, 6, 8), (BOS, 9, 11), (BOS, 9, 6)], [2, 0, 2, 2]
         )
-        self.assert_matches_reference(decoder, [(BOS, 9, 6, 12), (BOS, 9, 5, 12), (BOS, 9, 6, 7)])
+        self.assert_matches_reference(decoder, [(BOS, 9, 6, 12), (BOS, 9, 5, 12), (BOS, 9, 6, 7)], [3, 0, 3])
 
     def test_random_beam_trees_up_to_max_len(self):
         rng = np.random.default_rng(14)
         for _ in range(3):
             decoder = IncrementalDecoder(self.params, self.enc_att)
-            prefixes = [(BOS,)]
+            prefixes, parents = [(BOS,)], [0]
             while len(prefixes[0]) < self.cfg.max_len:
-                self.assert_matches_reference(decoder, prefixes)
+                self.assert_matches_reference(decoder, prefixes, parents)
                 n_next = int(rng.integers(1, 6))
                 parents = rng.integers(0, len(prefixes), size=n_next)
                 prefixes = [
@@ -211,25 +211,34 @@ class TestIncrementalDecoder:
                 ]
 
     def test_prefix_validation(self):
+        """Each malformed step raises ModelError and leaves the decoder as it was."""
         decoder = IncrementalDecoder(self.params, self.enc_att)
         with pytest.raises(ModelError, match="non-empty"):
-            decoder.step([()])
+            decoder.step(np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ModelError, match="one integer parent per row"):
+            decoder.step(np.array([[BOS]]), [0, 0])
+        with pytest.raises(ModelError, match="adds one id"):
+            decoder.step(np.zeros((1, 0), dtype=np.int64), [0])  # an empty row
         with pytest.raises(ModelError, match="BOS"):
-            decoder.step([(EOS,)])
-        decoder.step([(BOS,)])
-        with pytest.raises(ModelError, match="same length"):
-            decoder.step([(BOS, 5), (BOS, 5, 6)])
-        with pytest.raises(KeyError):
-            decoder.step([(BOS, 5, 6)])  # its parent (BOS, 5) was never advanced
+            decoder.step(np.array([[BOS], [EOS]]), [0, 0])  # a first row without [BOS]
+        with pytest.raises(ModelError, match="parent rows"):
+            decoder.step(np.array([[BOS]]), [1])
+        self.assert_matches_reference(decoder, [(BOS,)], [0])
+        for parent in (-1, 1):  # numpy indexing would wrap -1 to the last row
+            with pytest.raises(ModelError, match="parent rows"):
+                decoder.step(np.array([[BOS, 5]]), [parent])
+        with pytest.raises(ModelError, match="adds one id"):
+            decoder.step(np.array([[BOS, 5, 6]]), [0])  # skips a step
+        self.assert_matches_reference(decoder, [(BOS, 5), (BOS, 6)], [0, 0])
 
     def test_prefix_at_max_len_rejected(self):
         decoder = IncrementalDecoder(self.params, self.enc_att)
-        prefix = (BOS,)
-        while len(prefix) < self.cfg.max_len:
-            decoder.step([prefix])
-            prefix = prefix + (5,)
+        ids = np.array([[BOS]])
+        while ids.shape[1] < self.cfg.max_len:
+            decoder.step(ids, [0])
+            ids = np.concatenate((ids, [[5]]), axis=1)
         with pytest.raises(ModelError, match="too long"):
-            decoder.step([prefix])
+            decoder.step(ids, [0])
 
 
 class TestLayerNorm:
@@ -468,7 +477,7 @@ class TestDtype:
             "ffn": (layers.ffn_fwd(x, ffn), layers.ffn_bwd),
             "attention": (layers.attention_fwd(x, rand(3, d), attn, heads), layers.attention_bwd),
             "self_attention": (layers.attention_fwd(x, x, attn, heads, mask=mask), layers.attention_bwd),
-            "dropout": (layers.dropout_fwd(x, 0.25, rng), layers.dropout_bwd),
+            "dropout": (layers.dropout_fwd(x, 0.25, iter([rng.random(x.shape) >= 0.25])), layers.dropout_bwd),
         }
         for name, ((out, cache), bwd) in pairs.items():
             arrays = list(_arrays((out, bwd(dout, cache))))
@@ -485,7 +494,7 @@ class TestDtype:
     def test_float64_dropout_equals_the_float64_mask_bit_for_bit(self):
         x = np.random.default_rng(16).normal(size=(7, 11))
         for p in (0.1, 0.25, 0.5):
-            out, mask = layers.dropout_fwd(x, p, np.random.default_rng(17))
+            out, mask = layers.dropout_fwd(x, p, iter([np.random.default_rng(17).random(x.shape) >= p]))
             expected_mask = (np.random.default_rng(17).random(x.shape) >= p) / (1.0 - p)
             np.testing.assert_array_equal(mask, expected_mask)
             np.testing.assert_array_equal(out, x * expected_mask)

@@ -184,6 +184,30 @@ class TestPersistence:
         save_vocab(v2, tmp_path / "b.txt")
         assert vocab_hash(tmp_path / "a.txt") != vocab_hash(tmp_path / "b.txt")
 
+    def test_failed_save_keeps_both_previous_files(self, tmp_path):
+        """A write that fails in the sidecar header leaves the earlier
+        vocabulary file and header, not a new file beside an old header."""
+        v1 = train_vocab([thread_of(["la casa azul"])], vocab_size=30)
+        v2 = train_vocab([thread_of(["el cielo rojo y claro"])], vocab_size=40)
+        path = tmp_path / "vocab.txt"
+        save_vocab(v1, path)
+        before = path.read_bytes(), (tmp_path / "vocab.txt.meta").read_bytes()
+
+        class Unwritable:  # v2 whose lowercase flag cannot be read
+            id_to_token, n_merges = v2.id_to_token, v2.n_merges
+
+            def __len__(self):
+                return len(self.id_to_token)
+
+            @property
+            def lowercase(self):
+                raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space"):
+            save_vocab(Unwritable(), path)
+        assert (path.read_bytes(), (tmp_path / "vocab.txt.meta").read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt", "vocab.txt.meta"]
+
     def test_header_mismatch_detected(self, tmp_path):
         vocab = train_vocab([thread_of(["la casa azul"])], vocab_size=30)
         path = tmp_path / "vocab.txt"
