@@ -20,7 +20,15 @@ input's dtype, so nothing upcasts a float32 training step.
 attend is the one scaled dot-product attention core and attend_bwd its
 backward: attention_fwd/attention_bwd call them on each block's (heads, T,
 d_head) arrays, and incremental decoding calls attend on its cached keys
-and values.
+and values.  attend_bwd also takes attend's context: the softmax backward's
+row term sum_j dP_ij P_ij equals dctx_i . ctx_i (FlashAttention, Dao et al.
+2022, arXiv:2205.14135), an O(T d) product in place of an O(T^2) one.
+
+A layer writes only into temporaries it allocated itself: the large
+kernels (softmax, attend, linear, GELU, layer norm) compute in place in
+arrays they made, in the operation order of the plain expressions, so
+their results are bit for bit those of the expressions, and no layer ever
+writes into an argument or into a cache it was given.
 """
 
 from __future__ import annotations
@@ -37,13 +45,16 @@ _GELU_A = 0.044715
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     # the ufunc reductions np.max and np.sum call, without their Python
     # wrappers: the decoder step takes thousands of softmaxes of tiny arrays
-    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def linear_fwd(x, W, b):
-    return x @ W + b, (x, W)
+    out = x @ W
+    out += b
+    return out, (x, W)
 
 
 def linear_bwd(dout, cache):
@@ -59,11 +70,14 @@ def layer_norm_fwd(x, gamma, beta):
     # wrapper; a float32 sum over d is divided in float32 here and in float64
     # there, and both quotients round correctly to the same float32
     d = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d  # centred, then scaled
+    out = np.multiply(xhat, xhat)  # holds the squares before the output
+    var = np.add.reduce(out, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv_std
-    return gamma * xhat + beta, (xhat, inv_std, gamma)
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out, (xhat, inv_std, gamma)
 
 
 def layer_norm_bwd(dout, cache):
@@ -81,15 +95,35 @@ def layer_norm_bwd(dout, cache):
 
 
 def gelu_fwd(x):
-    u = _GELU_C * (x + _GELU_A * (x * x * x))  # x**3 is numpy's slow pow path
+    # 0.5 x (1 + tanh(c (x + a x^3))), x^3 as x*x*x (x**3 is numpy's slow pow path)
+    u = x * x
+    u *= x
+    u *= _GELU_A
+    u += x
+    u *= _GELU_C
     t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+    out = t + 1.0
+    out *= np.multiply(x, 0.5, out=u)
+    return out, (x, t)
 
 
 def gelu_bwd(dout, cache):
+    # dout (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2))
     x, t = cache
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    h = np.multiply(x, 0.5)
+    g *= h
+    np.multiply(x, x, out=h)
+    h *= 3.0 * _GELU_A
+    h += 1.0
+    h *= _GELU_C
+    g *= h
+    np.add(t, 1.0, out=h)
+    h *= 0.5
+    g += h
+    g *= dout
+    return g
 
 
 def dropout_fwd(x, p: float, keeps):
@@ -122,31 +156,36 @@ def _merge_heads(x):
 
 def causal_mask(T: int, dtype=np.float64) -> np.ndarray:
     """Additive mask: -inf above the diagonal."""
-    mask = np.zeros((T, T), dtype=dtype)
-    mask[np.triu_indices(T, k=1)] = -np.inf
-    return mask
+    return np.triu(np.full((T, T), -np.inf, dtype=dtype), 1)
 
 
 def attend(q, k, v, mask=None):
     """Scaled dot-product attention over the last two axes, for any leading
     (head, row) axes: returns the probabilities softmax(q kᵀ / sqrt(d_head)
     + mask) and the context, probabilities @ v.  mask is additive or None."""
-    s = q @ np.swapaxes(k, -1, -2) * (1.0 / math.sqrt(q.shape[-1]))
+    s = q @ np.swapaxes(k, -1, -2)
+    s *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
-        s = s + mask
+        s += mask
     probs = softmax(s, axis=-1)
     return probs, probs @ v
 
 
-def attend_bwd(dctx, q, k, v, probs):
+def attend_bwd(dctx, q, k, v, probs, ctx):
     """Backward of attend: the gradients with respect to q, k and v, given
-    the context's gradient and attend's probabilities."""
+    the context's gradient and attend's probabilities and context.
+
+    The softmax backward dS = P * (dP - D) needs each row's D_i = sum_j
+    dP_ij P_ij; since dP = dctx vᵀ and ctx = P v, D_i = dctx_i . ctx_i."""
     scale = 1.0 / math.sqrt(q.shape[-1])
-    dP = dctx @ np.swapaxes(v, -1, -2)
+    dS = dctx @ np.swapaxes(v, -1, -2)  # dP, made dS in place
     dv = np.swapaxes(probs, -1, -2) @ dctx
-    dS = probs * (dP - np.sum(dP * probs, axis=-1, keepdims=True))
-    dq = dS @ k * scale
-    dk = np.swapaxes(dS, -1, -2) @ q * scale
+    dS -= np.add.reduce(dctx * ctx, axis=-1, keepdims=True)
+    dS *= probs
+    dq = dS @ k
+    dq *= scale
+    dk = np.swapaxes(dS, -1, -2) @ q
+    dk *= scale
     return dq, dk, dv
 
 
@@ -171,18 +210,18 @@ def attention_fwd(q_in, kv_in, p: dict, n_heads: int, mask=None):
         P, Ch[:, q_rows] = attend(Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], block)
         probs.append(P)
     out, c_o = linear_fwd(_merge_heads(Ch), p["Wo"], p["bo"])
-    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, blocks, probs, n_heads)
+    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, Ch, blocks, probs, n_heads)
 
 
 def attention_bwd(dout, cache):
     """Returns (d_q_in, d_kv_in, param grads dict)."""
-    c_q, c_k, c_v, c_o, Qh, Kh, Vh, blocks, probs, n_heads = cache
+    c_q, c_k, c_v, c_o, Qh, Kh, Vh, Ch, blocks, probs, n_heads = cache
     dC, dWo, dbo = linear_bwd(dout, c_o)
     dCh = _split_heads(dC, n_heads)
     dQh, dKh, dVh = np.empty_like(Qh), np.empty_like(Kh), np.empty_like(Vh)
     for (q_rows, kv_rows, _), P in zip(blocks, probs):
         dQh[:, q_rows], dKh[:, kv_rows], dVh[:, kv_rows] = attend_bwd(
-            dCh[:, q_rows], Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], P
+            dCh[:, q_rows], Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], P, Ch[:, q_rows]
         )
     d_q_in, dWq, dbq = linear_bwd(_merge_heads(dQh), c_q)
     dk_in, dWk, dbk = linear_bwd(_merge_heads(dKh), c_k)

@@ -329,8 +329,9 @@ def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, keeps=None):
     x, c_emb = _embed_fwd(params.tensors, ids, rows, f"{kind}_emb_ln", p_drop, keeps)
     if kind == "dec":
         memory, memory_rows = memory
+        causal = layers.causal_mask(max(r.stop - r.start for r in rows), dtype=x.dtype)
         masks = {
-            "self": [(r, r, layers.causal_mask(r.stop - r.start, dtype=x.dtype)) for r in rows],
+            "self": [(r, r, causal[: r.stop - r.start, : r.stop - r.start]) for r in rows],
             "cross": [(r, m, None) for r, m in zip(rows, memory_rows)],
         }
     else:
@@ -393,6 +394,8 @@ def decode_step(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) -> 
         raise ModelError("prefix must start with [BOS]")
     if len(prefix) >= params.config.max_len:
         raise ModelError(f"prefix of {len(prefix)} ids too long for max_len {params.config.max_len}")
+    if not 0 <= min(prefix) <= max(prefix) < params.config.vocab_size:
+        raise ModelError(f"prefix ids must lie in [0, {params.config.vocab_size}), got {min(prefix)} to {max(prefix)}")
     logits = decoder_logits(params, enc_att, prefix)
     return layers.softmax(logits[-1].astype(np.float64))
 
@@ -442,12 +445,14 @@ class IncrementalDecoder:
         """Next-token distributions after each row of ids, shape (n_live, V),
         float64.  Raises ModelError for malformed ids or parents, a length
         that is not the previous step's plus one or reaches max_len, a first
-        step not at [BOS], or a parent outside the previous step's rows."""
+        step not at [BOS], a new id outside the vocabulary, or a parent
+        outside the previous step's rows."""
         parents = np.asarray(parents)
         n_prev, _, prev_length, _ = self._kv[0][0].shape
-        if ids.ndim != 2 or len(ids) == 0 or parents.shape != ids.shape[:1] or parents.dtype.kind not in "iu":
-            raise ModelError(f"step needs a non-empty id matrix and one integer parent per row, "
-                             f"got ids {ids.shape} and parents {parents.dtype} {parents.shape}")
+        if (ids.ndim != 2 or len(ids) == 0 or ids.dtype.kind not in "iu"
+                or parents.shape != ids.shape[:1] or parents.dtype.kind not in "iu"):
+            raise ModelError(f"step needs a non-empty integer id matrix and one integer parent per row, "
+                             f"got ids {ids.dtype} {ids.shape} and parents {parents.dtype} {parents.shape}")
         n, length = ids.shape
         if length != prev_length + 1:
             raise ModelError(f"rows of {length} ids after rows of {prev_length}; each step adds one id")
@@ -457,8 +462,11 @@ class IncrementalDecoder:
             raise ModelError("prefix must start with [BOS]")
         if parents.min() < 0 or parents.max() >= n_prev:
             raise ModelError(f"parent rows must lie in [0, {n_prev}), got {parents.min()} to {parents.max()}")
+        new = ids[:, -1]  # earlier columns were checked when they were new
+        if new.min() < 0 or new.max() >= len(self.tok_emb):
+            raise ModelError(f"ids must lie in [0, {len(self.tok_emb)}), got {new.min()} to {new.max()}")
 
-        y = self.tok_emb[ids[:, -1]] + self.pos_emb[length - 1]
+        y = self.tok_emb[new] + self.pos_emb[length - 1]
         y, _ = layers.layer_norm_fwd(y, *self.emb_ln)
         d = y.shape[1]
         heads = (n, self.n_heads, 1, d // self.n_heads)  # one new position per row

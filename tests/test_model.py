@@ -168,6 +168,9 @@ class TestDecodeStep:
             decode_step(self.params, self.enc_att, [])
         with pytest.raises(ModelError, match="too long"):
             decode_step(self.params, self.enc_att, [BOS] + [5] * TINY.max_len)
+        for bad in (-1, TINY.vocab_size):  # numpy indexing would wrap -1 to the last id
+            with pytest.raises(ModelError, match="must lie in"):
+                decode_step(self.params, self.enc_att, [BOS, 6, bad])
 
 
 class TestIncrementalDecoder:
@@ -229,6 +232,11 @@ class TestIncrementalDecoder:
                 decoder.step(np.array([[BOS, 5]]), [parent])
         with pytest.raises(ModelError, match="adds one id"):
             decoder.step(np.array([[BOS, 5, 6]]), [0])  # skips a step
+        for bad in (-1, self.cfg.vocab_size):  # numpy indexing would wrap -1 to the last id
+            with pytest.raises(ModelError, match="ids must lie in"):
+                decoder.step(np.array([[BOS, 5], [BOS, bad]]), [0, 0])
+        with pytest.raises(ModelError, match="integer id matrix"):
+            decoder.step(np.array([[BOS, 5.0]]), [0])
         self.assert_matches_reference(decoder, [(BOS, 5), (BOS, 6)], [0, 0])
 
     def test_prefix_at_max_len_rejected(self):
