@@ -4,9 +4,10 @@ Subcommands cover the full pipeline: preprocess raw threads, build the
 subword vocabulary, train a task variant, summarize threads from a
 checkpoint, evaluate a fold, and build the quartile characterization
 report.  Every command is deterministic given its inputs; preprocess and
-train, the two that draw random numbers, also take --seed.  Flags override
-values read from an optional --config key-value file (all commands but
-characterize).
+train, the two that draw random numbers, also take --seed.  An @file
+argument reads flags from a settings file, one or more per line as on the
+command line; a later flag wins.  Flags that set a field of ModelConfig,
+DecodeConfig, OptimizerConfig or TrainSchedule take their defaults from it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import sys
 
 from threadsum import corpus as corpus_mod
@@ -33,58 +35,28 @@ from threadsum.training import (
 )
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """key = value lines; blank lines and # comments are skipped.  Any other
-    line raises ValueError naming its line number."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {number}: {line!r} is not key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+class _Parser(argparse.ArgumentParser):
+    """Splits each line of an @file as a shell would, # comments included,
+    and keeps the arguments it was last given: a subcommand's parser gets
+    them with every @file already read."""
 
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Config-file values fill in any flag still at its parser default.
-
-    An unreadable file, a line that is not key = value, a key that names no
-    flag of the subcommand and a value the flag would not accept are usage
-    errors (exit 2).
-    """
-    if not getattr(args, "config", None):
-        return
-    subparser: argparse.ArgumentParser = args._sub
-    try:
-        values = _read_config_file(args.config)
-    except OSError as exc:
-        subparser.error(f"cannot read config file {args.config}: {exc.strerror or exc}")
-    except ValueError as exc:
-        subparser.error(f"config file {args.config}: {exc}")
-    flags = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
-    for key, raw in values.items():
-        action = flags.get(key)
-        if action is None:
-            subparser.error(f"config file {args.config}: {key!r} names no option of {subparser.prog}")
-        if getattr(args, key) != action.default:
-            continue  # explicit flag wins
+    def convert_arg_line_to_args(self, arg_line):
         try:
-            if isinstance(action.default, bool):
-                value = _BOOL_WORDS[raw.lower()]
-            else:
-                value = action.type(raw) if action.type else raw
-            if action.choices and value not in action.choices:
-                raise ValueError(raw)
-        except (KeyError, ValueError):
-            subparser.error(f"config file {args.config}: invalid value {raw!r} for {key!r}")
-        setattr(args, key, value)
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            self.error(f"settings-file line {arg_line.strip()!r}: {exc}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given_args = args
+        try:
+            return super().parse_known_args(args, namespace)
+        except UnicodeDecodeError as exc:  # argparse reads an @file as text
+            self.error(f"a settings file is not UTF-8 text: {exc}")
+
+
+def _from_flags(cls, args):
+    """A DecodeConfig or OptimizerConfig from the flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 # model flag dest -> ModelConfig field
@@ -99,52 +71,60 @@ def _model_config(args, vocab_size: int) -> ModelConfig:
 
 
 def _check_resume_flags(args, state) -> None:
-    """A resumed run keeps the checkpoint's model and variant, so a flag away
-    from its parser default that disagrees with the checkpoint exits 2."""
+    """A resumed run keeps the checkpoint's model and variant, so a model
+    flag or --variant that was given, on the command line or in an @file,
+    and disagrees with the checkpoint exits 2, whatever its value.
+
+    argparse cannot say which flags were given, so the subcommand's
+    arguments are parsed again into a namespace holding a sentinel for every
+    dest: parsing fills in a default only for a missing dest."""
+    unset = object()
+    given = vars(args._sub.parse_args(args._sub.given_args, argparse.Namespace(**dict.fromkeys(vars(args), unset))))
     fixed = {dest: getattr(state.params.config, f) for dest, f in _MODEL_FLAGS.items()}
     fixed["variant"] = state.variant.id
-    subparser: argparse.ArgumentParser = args._sub
-    for action in subparser._actions:
-        if action.dest in fixed:
-            value = getattr(args, action.dest)
-            if value != action.default and value != fixed[action.dest]:
-                subparser.error(
-                    f"{action.option_strings[0]} {value} differs from the checkpoint's "
-                    f"{fixed[action.dest]}; --resume keeps the checkpoint's model and variant"
-                )
+    for dest, kept in fixed.items():
+        if given[dest] is not unset and given[dest] != kept:
+            args._sub.error(
+                f"--{dest.replace('_', '-')} {given[dest]} differs from the checkpoint's "
+                f"{kept}; --resume keeps the checkpoint's model and variant"
+            )
 
 
-def _decode_config(args) -> DecodeConfig:
-    return DecodeConfig(
-        beam_size=args.beam_size,
-        block_ngram=args.block_ngram,
-        max_out_len=args.max_out_len,
-        length_penalty_alpha=args.length_penalty_alpha,
-    )
+def _ratios(text: str) -> tuple[float, float, float]:
+    try:
+        train_r, val_r, test_r = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}") from None
+    return train_r, val_r, test_r
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-model", type=int, default=128, help="model width")
-    p.add_argument("--enc-blocks", type=int, default=2, help="encoder blocks")
-    p.add_argument("--dec-blocks", type=int, default=2, help="decoder blocks")
-    p.add_argument("--heads", type=int, default=4, help="attention heads")
-    p.add_argument("--d-ff", type=int, default=512, help="feed-forward width")
-    p.add_argument("--max-len", type=int, default=512, help="maximum subtoken sequence length")
-    p.add_argument("--dropout", type=float, default=0.1, help="dropout probability")
-    p.add_argument("--label-smoothing", type=float, default=0.1, help="label smoothing mass")
+    m = ModelConfig
+    p.add_argument("--d-model", type=int, default=m.d_model, help="model width")
+    p.add_argument("--enc-blocks", type=int, default=m.n_enc_blocks, help="encoder blocks")
+    p.add_argument("--dec-blocks", type=int, default=m.n_dec_blocks, help="decoder blocks")
+    p.add_argument("--heads", type=int, default=m.n_heads, help="attention heads")
+    p.add_argument("--d-ff", type=int, default=m.d_ff, help="feed-forward width")
+    p.add_argument("--max-len", type=int, default=m.max_len, help="maximum subtoken sequence length")
+    p.add_argument("--dropout", type=float, default=m.dropout, help="dropout probability")
+    p.add_argument("--label-smoothing", type=float, default=m.label_smoothing, help="label smoothing mass")
 
 
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam-size", type=int, default=5, help="beam width")
-    p.add_argument("--block-ngram", type=int, default=3, help="repeated n-gram size to block (0 disables)")
-    p.add_argument("--max-out-len", type=int, default=64, help="generation length cap")
-    p.add_argument("--length-penalty-alpha", type=float, default=0.6, help="beam length-penalty exponent")
+    d = DecodeConfig
+    p.add_argument("--beam-size", type=int, default=d.beam_size, help="beam width")
+    p.add_argument("--block-ngram", type=int, default=d.block_ngram, help="repeated n-gram size to block (0 disables)")
+    p.add_argument("--max-out-len", type=int, default=d.max_out_len, help="generation length cap")
+    p.add_argument("--length-penalty-alpha", type=float, default=d.length_penalty_alpha,
+                   help="beam length-penalty exponent")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="threadsum",
         description="Abstractive summarization of news discussion threads with like-driven attention.",
+        epilog="@FILE reads flags from a settings file, as on the command line; a later flag wins.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -152,9 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="raw JSONL corpus")
     p.add_argument("--out", dest="output", required=True, help="clean JSONL corpus")
     p.add_argument("--min-words", type=int, default=5, help="minimum words per comment")
-    p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,validation,test ratios")
+    p.add_argument("--ratios", type=_ratios, default="0.8,0.1,0.1", help="train,validation,test ratios")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--config", default=None, help="key-value config file; flags override")
 
     p = sub.add_parser("build-vocab", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="train the subword vocabulary on the train fold")
     p.add_argument("--in", dest="input", required=True, help="clean JSONL corpus")
@@ -163,23 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", type=int, default=1, help="minimum pair frequency to merge")
     p.add_argument("--no-lowercase", action="store_true", help="keep original casing")
     p.add_argument("--fold", default="train", choices=("train", "validation", "test", "all"), help="fold to read")
-    p.add_argument("--config", default=None)
 
+    o = OptimizerConfig
     p = sub.add_parser("train", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="train one task variant")
     p.add_argument("--in", dest="input", required=True, help="clean JSONL corpus")
     p.add_argument("--vocab", required=True, help="vocabulary file from build-vocab")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--variant", type=int, default=7, help="task variant id (1..8)")
     p.add_argument("--steps", type=int, default=2000, help="total optimizer steps")
-    p.add_argument("--eval-every", type=int, default=2000, help="checkpoint cadence in steps")
+    p.add_argument("--eval-every", type=int, default=TrainSchedule.eval_every, help="checkpoint cadence in steps")
     p.add_argument("--seed", type=int, default=0, help="random seed (unused with --resume, which continues the checkpoint's rng)")
     p.add_argument("--resume", default=None, help="checkpoint to continue from; its model and variant are kept")
-    p.add_argument("--lr-peak", type=float, default=3e-4, help="peak learning rate")
-    p.add_argument("--warmup-steps", type=int, default=400, help="learning-rate warmup steps")
-    p.add_argument("--batch-size", type=int, default=8, help="threads per optimizer step")
-    p.add_argument("--clip-norm", type=float, default=1.0, help="global gradient-norm clip (0 disables)")
+    p.add_argument("--lr-peak", type=float, default=o.lr_peak, help="peak learning rate")
+    p.add_argument("--warmup-steps", type=int, default=o.warmup_steps, help="learning-rate warmup steps")
+    p.add_argument("--batch-size", type=int, default=o.batch_size, help="threads per optimizer step")
+    p.add_argument("--clip-norm", type=float, default=o.clip_norm, help="global gradient-norm clip (0 disables)")
     p.add_argument("--log-every", type=int, default=0, help="print loss every N steps (0 silences)")
-    p.add_argument("--config", default=None)
     _add_model_flags(p)
     _add_decode_flags(p)
 
@@ -190,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", required=True, help="summaries JSONL")
     p.add_argument("--fold", default="test", choices=("train", "validation", "test", "all"), help="fold to read")
     p.add_argument("--provide-likes", action="store_true", help="feed real likes instead of uniform weights")
-    p.add_argument("--config", default=None)
     _add_decode_flags(p)
 
     p = sub.add_parser("evaluate", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="score generated summaries over a fold")
@@ -200,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--fold", default="test", choices=("train", "validation", "test", "all"), help="fold to read")
     p.add_argument("--rouge-n", type=int, default=1, help="n-gram order for all ROUGE metrics")
-    p.add_argument("--config", default=None)
     _add_decode_flags(p)
 
     p = sub.add_parser("characterize", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="quartile report from evaluation reports")
@@ -217,9 +193,8 @@ def _load_fold(path, fold):
 
 
 def cmd_preprocess(args) -> int:
-    ratios = tuple(float(x) for x in args.ratios.split(","))
     raw = corpus_mod.load_corpus(args.input)
-    clean = corpus_mod.partition(corpus_mod.preprocess(raw, args.min_words), ratios, args.seed)
+    clean = corpus_mod.partition(corpus_mod.preprocess(raw, args.min_words), args.ratios, args.seed)
     corpus_mod.save_clean(clean, args.output)
     print(f"wrote {len(clean)} clean threads to {args.output}")
     return 0
@@ -242,10 +217,7 @@ def cmd_train(args) -> int:
     val_fold = [t for t in threads if t.fold == "validation"] or None
     vocab = load_vocab(args.vocab)
     sha = vocab_hash(args.vocab)
-    opt = OptimizerConfig(
-        lr_peak=args.lr_peak, warmup_steps=args.warmup_steps,
-        batch_size=args.batch_size, clip_norm=args.clip_norm,
-    )
+    opt = _from_flags(OptimizerConfig, args)
     schedule = TrainSchedule(max_steps=args.steps, eval_every=args.eval_every)
     if args.resume:
         state = load_checkpoint(args.resume, expected_vocab_sha=sha)
@@ -258,7 +230,7 @@ def cmd_train(args) -> int:
         variant = get_variant(args.variant)
     final = train(
         train_fold, vocab, variant, config, opt, schedule, seed=args.seed,
-        val_corpus=val_fold, out_dir=args.out_dir, decode_config=_decode_config(args),
+        val_corpus=val_fold, out_dir=args.out_dir, decode_config=_from_flags(DecodeConfig, args),
         vocab_sha=sha, initial_state=state, log_every=args.log_every,
     )
     print(
@@ -272,7 +244,7 @@ def cmd_summarize(args) -> int:
     vocab = load_vocab(args.vocab)
     state = load_checkpoint(args.checkpoint, expected_vocab_sha=vocab_hash(args.vocab))
     threads = _load_fold(args.input, args.fold)
-    cfg = _decode_config(args)
+    cfg = _from_flags(DecodeConfig, args)
     with replace_when_done(args.output) as fh:
         for thread in threads:
             result = summarize(state, vocab, thread, cfg, provide_likes=args.provide_likes)
@@ -287,7 +259,7 @@ def cmd_evaluate(args) -> int:
     state = load_checkpoint(args.checkpoint, expected_vocab_sha=vocab_hash(args.vocab))
     threads = _load_fold(args.input, args.fold)
     reports, aggregates, skipped = evaluation.evaluate_fold(
-        state, threads, _decode_config(args), vocab, n=args.rouge_n
+        state, threads, _from_flags(DecodeConfig, args), vocab, n=args.rouge_n
     )
     os.makedirs(args.out_dir, exist_ok=True)
     reports_path = os.path.join(args.out_dir, "reports.jsonl")
@@ -295,8 +267,7 @@ def cmd_evaluate(args) -> int:
     # both files are replaced only once both are written
     with replace_when_done(reports_path) as fh, replace_when_done(agg_path, newline="") as agg_fh:
         for report in reports:
-            row = dataclasses.asdict(report)
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(evaluation.report_to_json(report) + "\n")
         writer = csv.writer(agg_fh)
         writer.writerow(["variant", "xent", "recall_w", "title_rouge"])
         writer.writerow(
@@ -312,25 +283,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_characterize(args) -> int:
-    reports = []
-    with open(args.reports, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            reports.append(
-                evaluation.EvalReport(
-                    thread_id=row["thread_id"],
-                    per_comment_rouge=row["per_comment_rouge"],
-                    likes_dist=row["likes_dist"],
-                    rouge_dist=row["rouge_dist"],
-                    xent=row["xent"],
-                    recall_w=row["recall_w"] if row["recall_w"] is not None else float("nan"),
-                    title_rouge=row["title_rouge"],
-                    features=evaluation.CharacterizationFeatures(**row["features"]),
-                )
-            )
-    rows = evaluation.quartile_report(reports)
+    rows = evaluation.quartile_report(evaluation.load_reports(args.reports))
     with replace_when_done(args.output, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -353,7 +306,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args)
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # single-line machine-parsable error

@@ -7,12 +7,15 @@ overlap concentrates on the most-liked comments scores close to the
 entropy of the likes distribution, which is the Gibbs lower bound.
 
 Also here: likes-weighted average recall, title ROUGE, per-thread
-characterization features with their quartile report, and the
-centroid-similarity extractive baseline.
+characterization features with their quartile report, the strict-JSON
+line format of evaluate's reports, and the centroid-similarity extractive
+baseline.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -61,6 +64,35 @@ class EvalReport:
     recall_w: float  # nan when the thread collected no likes at all
     title_rouge: float
     features: CharacterizationFeatures
+
+
+def report_to_json(report: EvalReport) -> str:
+    """One line of evaluate's reports.jsonl: strict JSON, with a nan
+    recall_w written as null."""
+    row = dataclasses.asdict(report)
+    if math.isnan(row["recall_w"]):
+        row["recall_w"] = None
+    return json.dumps(row, ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
+def load_reports(path) -> list[EvalReport]:
+    """Read report_to_json lines back, a null recall_w as nan.  Blank lines
+    are skipped; a malformed line raises MetricError carrying its 1-based
+    line number."""
+    reports = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                row["features"] = CharacterizationFeatures(**row["features"])
+                if row["recall_w"] is None:
+                    row["recall_w"] = math.nan
+                reports.append(EvalReport(**row))
+            except (ValueError, TypeError, KeyError) as exc:
+                raise MetricError(f"line {line_no}: malformed report ({exc})") from exc
+    return reports
 
 
 def rouge_tokens(text: str) -> list[str]:

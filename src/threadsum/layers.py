@@ -81,16 +81,19 @@ def layer_norm_fwd(x, gamma, beta):
 
 
 def layer_norm_bwd(dout, cache):
+    # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = dout * gamma
     xhat, inv_std, gamma = cache
-    dgamma = (dout * xhat).sum(axis=0)
-    dbeta = dout.sum(axis=0)
-    dxhat = dout * gamma
     d = dout.shape[-1]
-    dx = inv_std * (
-        dxhat
-        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
-    )
+    tmp = dout * xhat  # reused for dxhat * xhat, then for xhat * mean(dxhat * xhat)
+    dgamma = tmp.sum(axis=0)
+    dbeta = dout.sum(axis=0)
+    dx = dout * gamma  # dxhat, turned into dx in place
+    mean = np.add.reduce(dx, axis=-1, keepdims=True) / d
+    np.multiply(dx, xhat, out=tmp)
+    np.multiply(xhat, np.add.reduce(tmp, axis=-1, keepdims=True) / d, out=tmp)
+    dx -= mean
+    dx -= tmp
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 

@@ -2,11 +2,17 @@
 
 import dataclasses
 import json
+import math
+import re
+import shlex
 
 import pytest
 
 from threadsum import cli, evaluation
 from threadsum.cli import build_parser, main
+from threadsum.decoding import DecodeConfig
+from threadsum.model import ModelConfig
+from threadsum.training import OptimizerConfig, TrainSchedule
 
 DATA = "data/smoke_corpus.jsonl"
 
@@ -43,6 +49,13 @@ class TestPreprocess:
         err = capsys.readouterr().err.strip()
         assert json.loads(err)["error"]
 
+    @pytest.mark.parametrize("ratios", ["a,b,c", "0.5,0.5"])
+    def test_unparsable_ratios_exit_2(self, tmp_path, capsys, ratios):
+        with pytest.raises(SystemExit) as err:
+            run(["preprocess", "--in", DATA, "--out", str(tmp_path / "x.jsonl"), "--ratios", ratios])
+        assert err.value.code == 2
+        assert "--ratios" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self):
@@ -66,6 +79,7 @@ class TestUsageErrors:
         }
         cases = [[command, *flags, "--threads", "2"] for command, flags in required.items()]
         cases.append(["summarize", *required["summarize"], "--seed", "1"])
+        cases.append(["summarize", *required["summarize"], "--config", "run.cfg"])
         for argv in cases:
             build_parser().parse_args(argv[:-2])  # valid without the removed flag
             with pytest.raises(SystemExit) as err:
@@ -86,65 +100,115 @@ class TestUsageErrors:
                 assert token in text, (command, token)
 
 
-class TestConfigFile:
-    def test_config_file_fills_defaults_and_flags_override(self, tmp_path):
-        parser = build_parser()
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("min_words = 7\nseed = 3\n")
-        args = parser.parse_args(
-            ["preprocess", "--in", "x", "--out", "y", "--config", str(cfg), "--seed", "9"]
-        )
-        from threadsum.cli import _apply_config_file
+SUMMARIZE = ["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o"]
 
-        _apply_config_file(args)
+
+class TestConfigFile:
+    """An @file argument reads flags from a settings file in its place,
+    written as on the command line; argparse checks them as usual."""
+
+    def test_config_file_fills_defaults_and_flags_override(self, tmp_path):
+        settings = tmp_path / "run.args"
+        settings.write_text("# preprocessing\n--min-words 7\n--seed 3\n")
+        args = build_parser().parse_args(["preprocess", "--in", "x", "--out", "y", f"@{settings}", "--seed", "9"])
         assert args.min_words == 7  # filled from file
         assert args.seed == 9  # explicit flag wins
 
-    def test_values_are_typed(self, tmp_path):
-        from threadsum.cli import _apply_config_file
+    def test_later_flag_at_its_default_overrides_the_file(self, tmp_path):
+        settings = tmp_path / "run.args"
+        settings.write_text("--seed 3\n")
+        args = build_parser().parse_args(["preprocess", "--in", "x", "--out", "y", f"@{settings}", "--seed", "0"])
+        assert args.seed == 0
+        settings.write_text("--beam-size 9\n")
+        assert build_parser().parse_args([*SUMMARIZE, f"@{settings}", "--beam-size", "5"]).beam_size == 5
+        # and a file after a flag overrides it
+        assert build_parser().parse_args([*SUMMARIZE, "--beam-size", "5", f"@{settings}"]).beam_size == 9
 
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("beam-size = 9\nlength_penalty_alpha = 0.25\nprovide_likes = yes\nfold = all\n")
-        args = build_parser().parse_args(
-            ["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o", "--config", str(cfg)]
-        )
-        _apply_config_file(args)
+    def test_values_are_typed(self, tmp_path):
+        settings = tmp_path / "run.args"
+        settings.write_text("--beam-size 9 --length-penalty-alpha 0.25  # two on a line\n--provide-likes\n--fold all\n")
+        args = build_parser().parse_args([*SUMMARIZE, f"@{settings}"])
         assert (args.beam_size, args.length_penalty_alpha, args.provide_likes, args.fold) == (9, 0.25, True, "all")
 
-    @pytest.mark.parametrize("text, named", [
-        ("beam_sise = 9\n", "'beam_sise'"),  # names no flag
-        ("seed = 3\n", "'seed'"),  # a flag of another subcommand only
-        ("beam_size = five\n", "'five'"),
-        ("max_out_len = 6.5\n", "'max_out_len'"),
-        ("provide_likes = maybe\n", "'maybe'"),
-        ("fold = everything\n", "'fold'"),
-    ])
-    def test_bad_key_or_value_exits_2(self, tmp_path, capsys, text, named):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        with pytest.raises(SystemExit) as err:
-            main(["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o",
-                  "--config", str(cfg)])
-        assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert named in message and str(cfg) in message
+    def test_file_supplies_required_flags_and_the_command(self, tmp_path):
+        settings = tmp_path / "characterize.args"
+        settings.write_text('characterize\n--reports "eval dir/reports.jsonl"\n--out quartiles.csv\n')
+        args = build_parser().parse_args([f"@{settings}"])
+        assert (args.command, args.reports, args.output) == ("characterize", "eval dir/reports.jsonl", "quartiles.csv")
 
-    def test_line_without_equals_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# beam settings\n\nbeam_size 9\n")
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("--beam-sise 9\n", "--beam-sise", id="unknown-flag"),
+        pytest.param("--seed 3\n", "--seed", id="flag-of-another-command"),
+        pytest.param("--beam-size five\n", "'five'", id="not-an-int"),
+        pytest.param("--max-out-len 6.5\n", "'6.5'", id="float-for-int"),
+        pytest.param("--provide-likes maybe\n", "maybe", id="value-for-switch"),
+        pytest.param("--fold everything\n", "'everything'", id="not-a-choice"),
+        pytest.param("beam_size = 9\n", "beam_size = 9", id="key-value-line"),  # the removed --config format
+        pytest.param('--out "unclosed\n', "No closing quotation", id="unclosed-quote"),
+    ])
+    def test_bad_flag_or_value_exits_2(self, tmp_path, capsys, text, named):
+        settings = tmp_path / "run.args"
+        settings.write_text(text)
         with pytest.raises(SystemExit) as err:
-            main(["summarize", "--in", "i", "--vocab", "v", "--checkpoint", "c", "--out", "o",
-                  "--config", str(cfg)])
+            main([*SUMMARIZE, f"@{settings}"])
         assert err.value.code == 2
-        message = capsys.readouterr().err
-        assert str(cfg) in message and "line 3" in message and "'beam_size 9'" in message
+        assert named in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "absent.cfg"
+        missing = tmp_path / "absent.args"
         with pytest.raises(SystemExit) as err:
-            main(["preprocess", "--in", "i", "--out", "o", "--config", str(missing)])
+            main(["preprocess", "--in", "i", "--out", "o", f"@{missing}"])
         assert err.value.code == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_file_that_is_not_text_exits_2(self, tmp_path):
+        settings = tmp_path / "run.args"
+        settings.write_bytes(b"--seed \xff\xfe\n")
+        with pytest.raises(SystemExit) as err:
+            main(["preprocess", "--in", "i", "--out", "o", f"@{settings}"])
+        assert err.value.code == 2
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    """Every threadsum command in README.md parses, with the settings files
+    the README shows written where it names them."""
+    with open("README.md", encoding="utf-8") as fh:
+        blocks = re.findall(r"```(\w*)\n(.*?)```", fh.read(), re.S)
+    monkeypatch.chdir(tmp_path)
+    for _, text in blocks:
+        named = re.match(r"# (\S+\.args)", text)
+        if named:
+            (tmp_path / named.group(1)).write_text(text)
+    commands = [
+        shlex.split(line)
+        for kind, text in blocks if kind == "bash"
+        for line in text.replace("\\\n", " ").splitlines() if line.startswith("threadsum ")
+    ]
+    assert len(commands) >= 8
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        if any(arg.startswith("@") for arg in argv):
+            assert (args.beam_size, args.max_out_len) == (5, 48)  # the README's later flag wins
+
+
+def dataclass_flag_defaults(command):
+    """Each dataclass-backed flag of the command and its field's default."""
+    decode = {f"--{f.name.replace('_', '-')}": f.default for f in dataclasses.fields(DecodeConfig)}
+    if command != "train":
+        return decode
+    optimizer = {f"--{f.name.replace('_', '-')}": f.default for f in dataclasses.fields(OptimizerConfig)}
+    model = {f"--{dest.replace('_', '-')}": getattr(ModelConfig, field) for dest, field in cli._MODEL_FLAGS.items()}
+    return decode | optimizer | model | {"--eval-every": TrainSchedule.eval_every}
+
+
+@pytest.mark.parametrize("command", ["train", "summarize", "evaluate"])
+def test_help_shows_the_dataclass_defaults(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
+    for flag, default in dataclass_flag_defaults(command).items():
+        shown = re.search(rf"{flag} [A-Z_]+ .*?\(default: ([^)]*)\)", options)
+        assert shown and shown.group(1) == str(default), (command, flag)
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +388,65 @@ class TestResumeFlags:
     def test_flags_at_their_defaults_are_not_conflicts(self, pipeline, tmp_path):
         """The checkpoint's d_model is 16; the flag's default 128 is no request."""
         assert self.resume(pipeline, tmp_path, []) == 0
+
+    @pytest.mark.parametrize("in_file", [False, True], ids=["command-line", "settings-file"])
+    def test_given_flag_at_its_default_conflicts(self, pipeline, tmp_path, capsys, in_file):
+        """The checkpoint's d_model is 16; an explicit --d-model 128 is a
+        request, although 128 is the flag's default."""
+        extra = ["--d-model", "128"]
+        if in_file:
+            settings = tmp_path / "model.args"
+            settings.write_text("--d-model 128\n")
+            extra = [f"@{settings}"]
+        with pytest.raises(SystemExit) as err:
+            self.resume(pipeline, tmp_path, extra)
+        assert err.value.code == 2
+        assert "--d-model 128" in capsys.readouterr().err
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestReportsFile:
+    """evaluate's reports.jsonl is strict JSON and characterize reads it back."""
+
+    def test_zero_like_threads_round_trip(self, pipeline, tmp_path):
+        root, clean, vocab, run_dir = pipeline
+        threads = [json.loads(l) for l in clean.read_text().splitlines()]
+        for thread in threads[:4]:
+            for comment in thread["comments"]:
+                comment["likes"] = 0
+        corpus = tmp_path / "zero_likes.jsonl"
+        corpus.write_text("".join(json.dumps(t) + "\n" for t in threads))
+        eval_dir = tmp_path / "eval"
+        assert run(
+            ["evaluate", "--in", str(corpus), "--vocab", str(vocab),
+             "--checkpoint", str(run_dir / "step00000020.tsck"), "--out-dir", str(eval_dir),
+             "--fold", "all", "--beam-size", "2", "--max-out-len", "8"]
+        ) == 0
+        lines = (eval_dir / "reports.jsonl").read_text().splitlines()
+        rows = [json.loads(line, parse_constant=reject_constant) for line in lines]
+        assert {r["thread_id"] for r in rows if r["recall_w"] is None} == {t["id"] for t in threads[:4]}
+        reports = evaluation.load_reports(eval_dir / "reports.jsonl")
+        assert [math.isnan(r.recall_w) for r in reports] == [r["recall_w"] is None for r in rows]
+        assert [evaluation.report_to_json(r) for r in reports] == lines
+        out = tmp_path / "quartiles.csv"
+        assert run(["characterize", "--reports", str(eval_dir / "reports.jsonl"), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("bad", ["{not json", '{"thread_id": "t"}', "[1, 2]", '"a string"'])
+    def test_malformed_line_names_its_number(self, tmp_path, capsys, bad):
+        report = evaluation.EvalReport(
+            thread_id="t", per_comment_rouge=[0.5], likes_dist=[1.0], rouge_dist=[1.0], xent=0.1,
+            recall_w=0.5, title_rouge=0.0, features=evaluation.CharacterizationFeatures(3, 2, 1, 1.0, 1.0, 0.0),
+        )
+        reports = tmp_path / "reports.jsonl"
+        reports.write_text(evaluation.report_to_json(report) + "\n\n" + bad + "\n")
+        with pytest.raises(evaluation.MetricError, match="line 3"):
+            evaluation.load_reports(reports)
+        assert run(["characterize", "--reports", str(reports), "--out", str(tmp_path / "q.csv")]) == 1
+        assert "line 3" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_characterize_failure_keeps_previous_csv(pipeline, tmp_path, monkeypatch):

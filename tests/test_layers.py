@@ -14,8 +14,9 @@ from threadsum.layers import _GELU_A, _GELU_C, _LN_EPS
 
 # The kernels as plain expressions, one fresh array per operation.  The
 # layers compute the same operations in the same order in arrays they
-# allocate themselves, so every forward (and gelu_bwd) equals these bit for
-# bit; attend_bwd's row term moved to the context and matches to rounding.
+# allocate themselves, so every forward, gelu_bwd and layer_norm_bwd equal
+# these bit for bit; attend_bwd's row term moved to the context and matches
+# to rounding.
 
 
 def reference_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -40,6 +41,20 @@ def reference_layer_norm_fwd(x, gamma, beta):
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv_std
     return gamma * xhat + beta, (xhat, inv_std, gamma)
+
+
+def reference_layer_norm_bwd(dout, cache):
+    xhat, inv_std, gamma = cache
+    dgamma = (dout * xhat).sum(axis=0)
+    dbeta = dout.sum(axis=0)
+    dxhat = dout * gamma
+    d = dout.shape[-1]
+    dx = inv_std * (
+        dxhat
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
+    )
+    return dx, dgamma, dbeta
 
 
 def reference_gelu_fwd(x):
@@ -188,6 +203,23 @@ class TestBitIdenticalForwards:
             assert_bits_equal(t, t_ref)
             dout = rng.normal(size=x.shape).astype(dtype)
             assert_bits_equal(layers.gelu_bwd(dout, (x, t)), reference_gelu_bwd(dout, (x, t)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_layer_norm_bwd_equals_its_plain_expression(dtype):
+    """At a wide chunk, the longest chunk, a directional chunk and a decoder
+    step: bit-equal gradients, and the upstream gradient and the cache left
+    bit-unchanged."""
+    rng = np.random.default_rng(45)
+    for rows, d in ((520, 128), (1000, 128), (233, 48), (7, 16)):
+        x = rng.normal(0.0, 2.0, (rows, d)).astype(dtype)
+        gamma, beta = rng.normal(1.0, 0.5, d).astype(dtype), rng.normal(size=d).astype(dtype)
+        _, cache = layers.layer_norm_fwd(x, gamma, beta)
+        dout = rng.normal(size=(rows, d)).astype(dtype)
+        before = snapshot((dout, cache))
+        for actual, expected in zip(layers.layer_norm_bwd(dout, cache), reference_layer_norm_bwd(dout, cache)):
+            assert_bits_equal(actual, expected)
+        assert_unchanged((dout, cache), before, "layer_norm_bwd arguments")
 
 
 class TestLayersLeaveTheirInputsAlone:
