@@ -96,6 +96,8 @@ def _parse(data: bytes):
         offset += 2
         name = data[offset : offset + name_len].decode("utf-8")
         offset += name_len
+        if name in tensors:
+            raise CheckpointError(f"corrupt checkpoint file: tensor '{name}' appears twice")
         tag, ndim = struct.unpack_from("<BB", data, offset)
         offset += 2
         if tag not in _DTYPE_TAGS:

@@ -15,9 +15,11 @@ exact hand-written backward pass; gradients are validated against central
 finite differences in the test suite.  Training runs forward_loss on a
 chunk of examples: their rows are stacked, the row-wise layers see all of
 them at once, and attention is block-diagonal, so no example attends to
-another's tokens.  IncrementalDecoder is inference only: it keeps the
-attention keys and values of beam search's live rows, and the search names
-the parent row that each new row extends.
+another's tokens.  Its backward adds into a gradient dict the caller may
+pass, and frees each block's activations once they are consumed, so the
+chunk's memory falls as its backward runs.  IncrementalDecoder is
+inference only: it keeps the attention keys and values of beam search's
+live rows, and the search names the parent row that each new row extends.
 """
 
 from __future__ import annotations
@@ -259,19 +261,20 @@ def _embed_fwd(tensors, ids, rows, ln_prefix, p_drop, keeps):
     return x, (ids, rows, c_ln, m)
 
 
-def _embed_bwd(dx, cache, ln_prefix, grads, tensors):
+def _embed_bwd(dx, cache, ln_prefix, grads, emb):
+    """Scatters into emb, the chunk's own tok_emb and pos_emb zeros, which
+    forward_loss adds to grads once; a grads dict without them takes emb's
+    arrays here, so its keys keep the order of the backward pass."""
     ids, rows, c_ln, m = cache
     dx = layers.dropout_bwd(dx, m)
     de, dg, db = layers.layer_norm_bwd(dx, c_ln)
     _acc(grads, f"{ln_prefix}_g", dg)
     _acc(grads, f"{ln_prefix}_b", db)
-    if "tok_emb" not in grads:
-        grads["tok_emb"] = np.zeros_like(tensors["tok_emb"])
-    np.add.at(grads["tok_emb"], ids, de)
-    if "pos_emb" not in grads:
-        grads["pos_emb"] = np.zeros_like(tensors["pos_emb"])
+    for name, g in emb.items():
+        grads.setdefault(name, g)
+    np.add.at(emb["tok_emb"], ids, de)
     for r in rows:  # a slice add per segment: np.add.at is ten times slower here
-        grads["pos_emb"][: r.stop - r.start] += de[r]
+        emb["pos_emb"][: r.stop - r.start] += de[r]
 
 
 def _acc(grads, name, value):
@@ -299,9 +302,11 @@ def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, keeps):
 
 
 def _block_bwd(dout, caches, pfx, layout, grads):
-    """Returns (dx, d_memory); d_memory is None for a block without "cross"."""
+    """Returns (dx, d_memory); d_memory is None for a block without "cross".
+    Pops each sublayer's cache off caches as its backward starts."""
     d_memory = None
-    for (sub, ln), (c_f, m, c_ln) in zip(reversed(layout), reversed(caches)):
+    for sub, ln in reversed(layout):
+        c_f, m, c_ln = caches.pop()
         dres, dg, db = layers.layer_norm_bwd(dout, c_ln)
         _acc(grads, f"{pfx}.{ln}_g", dg)
         _acc(grads, f"{pfx}.{ln}_b", db)
@@ -343,14 +348,16 @@ def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, keeps=None):
     return x, (c_emb, caches)
 
 
-def _stack_bwd(dx, stack_cache, params, kind, grads):
-    """Returns the gradient with respect to memory (None for the encoder)."""
+def _stack_bwd(dx, stack_cache, kind, grads, emb):
+    """Returns the gradient with respect to memory (None for the encoder).
+    Empties stack_cache's block list as it goes, so each block's activations
+    are freed once its backward has run."""
     c_emb, caches = stack_cache
     d_memory = None
     for i in reversed(range(len(caches))):
-        dx, d_mem_i = _block_bwd(dx, caches[i], f"{kind}{i}", BLOCK_LAYOUT[kind], grads)
+        dx, d_mem_i = _block_bwd(dx, caches.pop(), f"{kind}{i}", BLOCK_LAYOUT[kind], grads)
         d_memory = d_mem_i if d_memory is None else d_memory + d_mem_i
-    _embed_bwd(dx, c_emb, f"{kind}_emb_ln", grads, params.tensors)
+    _embed_bwd(dx, c_emb, f"{kind}_emb_ln", grads, emb)
     return d_memory
 
 
@@ -494,57 +501,10 @@ class IncrementalDecoder:
         return layers.softmax(logits.astype(np.float64))
 
 
-def forward_loss(
-    params: ModelParams,
-    seq: TokenSeq,
-    weights: AttentionWeights,
-    target: list[int],
-    disable_attention: bool = False,
-    rng=None,
-):
-    """Label-smoothed KL loss of the teacher-forced target plus full gradients.
-
-    seq, weights and target are one example's, or parallel lists of a
-    chunk's examples; a chunk runs as one forward and backward pass over the
-    examples' stacked rows, with attention kept inside each example, and
-    returns the sum of the examples' losses and of their gradients.  Each
-    example's loss is the mean over its positions whose gold token is not
-    [PAD].  rng is None (no dropout), a Generator or, for a chunk, each
-    example's dropout_keep(...) masks already drawn; from a Generator each
-    example draws its dropout_keep(...) in turn.  Returns (loss, gradient
-    dict shaped like params.tensors).  A non-finite loss raises
-    NumericsError; training checks the summed gradient once per step.
-    """
-    cfg = params.config
-    if isinstance(seq, TokenSeq):
-        seq, weights, target = [seq], [weights], [target]
-    if not 0 < len(seq) == len(weights) == len(target):
-        raise ModelError("a chunk needs non-empty parallel lists of inputs, weights and targets")
-    seqs, targets = seq, [list(t) for t in target]
-    for t in targets:
-        if len(t) < 2 or t[0] != BOS or t[-1] != EOS:
-            raise ModelError("target must start with [BOS] and end with [EOS]")
-        if len(t) > cfg.max_len:
-            raise ModelError(f"target of {len(t)} ids exceeds max_len {cfg.max_len}")
-    enc_rows = _row_slices([len(s.ids) for s in seqs])
-    dec_rows = _row_slices([len(t) - 1 for t in targets])
-
-    p_drop = cfg.dropout if rng is not None else 0.0
-    enc_keeps, dec_keeps = _chunk_keeps(cfg, rng, seqs, targets) if p_drop > 0 else (None, None)
-    enc_ids = [i for s in seqs for i in s.ids]
-    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, keeps=enc_keeps)
-    if disable_attention:
-        enc_att = enc
-        tokw = None
-    else:
-        tokw = np.concatenate([token_weights(s, w) for s, w in zip(seqs, weights)]).astype(enc.dtype)
-        enc_att = enc * tokw[:, None]
-
-    dec_in = [i for t in targets for i in t[:-1]]
-    gold = np.asarray([i for t in targets for i in t[1:]])
-    y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps)
-    logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
-
+def _smoothed_kl(logits, gold, dec_rows, cfg):
+    """The summed per-example loss of a chunk's logits and d loss / d logits
+    in their dtype.  The (rows, V) float64 arrays are this function's own,
+    so they are freed when it returns."""
     # each example's loss: the mean over its non-PAD rows of KL(q || softmax),
     # where q puts 1-eps on the gold token and u = eps/(V-2) on every other
     # non-PAD one, so sum q log q is one constant; non-finiteness is checked
@@ -578,12 +538,83 @@ def forward_loss(
     dlogits[rows, gold] = probs_gold - (1.0 - eps)
     dlogits /= np.repeat(np.asarray(n_eff, dtype=np.float64), [r.stop - r.start for r in dec_rows])[:, None]
     dlogits[~mask] = 0.0
-    dlogits = dlogits.astype(logits.dtype)
+    return loss, dlogits.astype(logits.dtype)
 
-    grads: dict[str, np.ndarray] = {}
-    dy, grads["lm_W"], grads["lm_b"] = layers.linear_bwd(dlogits, c_lm)
-    d_enc_att = _stack_bwd(dy, dec_cache, params, "dec", grads)
+
+def forward_loss(
+    params: ModelParams,
+    seq: TokenSeq,
+    weights: AttentionWeights,
+    target: list[int],
+    disable_attention: bool = False,
+    rng=None,
+    grads: dict[str, np.ndarray] | None = None,
+):
+    """Label-smoothed KL loss of the teacher-forced target plus full gradients.
+
+    seq, weights and target are one example's, or parallel lists of a
+    chunk's examples; a chunk runs as one forward and backward pass over the
+    examples' stacked rows, with attention kept inside each example, and
+    returns the sum of the examples' losses and of their gradients.  Each
+    example's loss is the mean over its positions whose gold token is not
+    [PAD].  rng is None (no dropout), a Generator or, for a chunk, each
+    example's dropout_keep(...) masks already drawn; from a Generator each
+    example draws its dropout_keep(...) in turn.  Returns (loss, gradient
+    dict shaped like params.tensors).  A non-finite loss raises
+    NumericsError; training checks the summed gradient once per step.
+
+    grads, when given, is the dict to add the gradients into, in place, and
+    the one returned: a training step passes one dict to all of its chunks.
+    A parameter missing from it takes the chunk's array; one present gets
+    `grads[name] += chunk's`, the sum of the chunks' separate dicts bit for
+    bit.  The backward pass frees each block's activations once that
+    block's backward has run, and the decoder's, with the logits, before
+    the encoder's backward starts.
+    """
+    cfg = params.config
+    if isinstance(seq, TokenSeq):
+        seq, weights, target = [seq], [weights], [target]
+    if not 0 < len(seq) == len(weights) == len(target):
+        raise ModelError("a chunk needs non-empty parallel lists of inputs, weights and targets")
+    seqs, targets = seq, [list(t) for t in target]
+    for t in targets:
+        if len(t) < 2 or t[0] != BOS or t[-1] != EOS:
+            raise ModelError("target must start with [BOS] and end with [EOS]")
+        if len(t) > cfg.max_len:
+            raise ModelError(f"target of {len(t)} ids exceeds max_len {cfg.max_len}")
+    enc_rows = _row_slices([len(s.ids) for s in seqs])
+    dec_rows = _row_slices([len(t) - 1 for t in targets])
+
+    p_drop = cfg.dropout if rng is not None else 0.0
+    enc_keeps, dec_keeps = _chunk_keeps(cfg, rng, seqs, targets) if p_drop > 0 else (None, None)
+    enc_ids = [i for s in seqs for i in s.ids]
+    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, keeps=enc_keeps)
+    if disable_attention:
+        enc_att = enc
+        tokw = None
+    else:
+        tokw = np.concatenate([token_weights(s, w) for s, w in zip(seqs, weights)]).astype(enc.dtype)
+        enc_att = enc * tokw[:, None]
+
+    dec_in = [i for t in targets for i in t[:-1]]
+    gold = np.asarray([i for t in targets for i in t[1:]])
+    y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps)
+    del enc, enc_att  # freed with the decoder's cross-attention caches, which hold them
+    logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
+    loss, dlogits = _smoothed_kl(logits, gold, dec_rows, cfg)
+    del y, logits
+
+    grads = {} if grads is None else grads
+    emb = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb")}
+    dy, d_lm_W, d_lm_b = layers.linear_bwd(dlogits, c_lm)
+    del dlogits, c_lm
+    _acc(grads, "lm_W", d_lm_W)
+    _acc(grads, "lm_b", d_lm_b)
+    d_enc_att = _stack_bwd(dy, dec_cache, "dec", grads, emb)
+    del dy, dec_cache
     d_enc = d_enc_att if disable_attention else d_enc_att * tokw[:, None]
-    _stack_bwd(d_enc, enc_cache, params, "enc", grads)
-
+    _stack_bwd(d_enc, enc_cache, "enc", grads, emb)
+    for name, g in emb.items():
+        if grads[name] is not g:  # not the chunk's own array, taken by a fresh dict
+            grads[name] += g
     return loss, grads

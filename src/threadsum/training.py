@@ -10,15 +10,20 @@ resumed run continues bit-identically.
 
 A step samples its examples one at a time and packs consecutive ones into
 chunks of at most CHUNK_TOKENS input-plus-target tokens (an example above
-the budget gets a chunk of its own); each chunk is one forward_loss call,
-and the chunks' gradients are summed.  Right after sampling an example the
-step draws all of that example's dropout keep masks with one
-rng.random(n) >= dropout (model.dropout_keep).  A Generator's random()
-takes one 64-bit draw per double, so these are the masks, and the rng
-state after them is the state, that drawing each layer's uniforms during
-the example's own forward pass would give: the rng stream does not depend
-on how examples are chunked.  Keeping bool masks, not the float64
-uniforms, holds a chunk's pending draws to one byte per entry.
+the budget gets a chunk of its own).  Each chunk is one forward_loss call
+that adds its gradients into the step's one gradient dict, so no chunk
+holds a second full gradient set; the step scales that dict by 1/batch,
+and _adam_update clips it in place and uses it as scratch.  The result is
+bit for bit that of summing per-chunk dicts.
+
+Right after sampling an example the step draws all of that example's
+dropout keep masks with one rng.random(n) >= dropout (model.dropout_keep).
+A Generator's random() takes one 64-bit draw per double, so these are the
+masks, and the rng state after them is the state, that drawing each
+layer's uniforms during the example's own forward pass would give: the rng
+stream does not depend on how examples are chunked.  Keeping bool masks,
+not the float64 uniforms, holds a chunk's pending draws to one byte per
+entry.
 """
 
 from __future__ import annotations
@@ -85,10 +90,13 @@ def get_variant(variant_id: int) -> TaskVariant:
 
 
 # input plus target tokens of the examples one forward_loss call packs.  It
-# bounds the activations a chunk keeps alive for its backward pass: short
-# threads share a chunk, while long ones get a chunk each, so the default
-# model's peak memory does not grow with the batch
-CHUNK_TOKENS = 512
+# bounds the activations a chunk keeps alive for its backward pass, so the
+# default model's peak memory does not grow with the batch.  At 1024 a
+# directional batch (about 720 tokens) is one chunk and the default model's
+# long threads share chunks; against 512 that took 8-9% off the steps of
+# both train benchmarks and cost the default model 7% more peak RSS, with
+# forward_loss freeing activations as its backward consumes them
+CHUNK_TOKENS = 1024
 
 # Adam moment decay rates and denominator epsilon
 ADAM_BETA1 = 0.9
@@ -231,7 +239,13 @@ def token_chunks(items, n_tokens):
 
 def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig) -> None:
     """One Adam step on the clipped gradient.  A non-finite gradient norm
-    raises NumericsError before any parameter or moment changes."""
+    raises NumericsError before any parameter or moment changes.
+
+    Consumes grads: clipping scales its arrays in place, and each one is
+    then the scratch space of its tensor's update.  Every expression keeps
+    the operation order of the plain form, m += (1 - b1) g, v += (1 - b2) g g,
+    tensor -= lr (m / bias1) / (sqrt(v / bias2) + eps), with moments of the
+    parameters' dtype, so the result is the plain form's bit for bit."""
     sq = 0.0
     for g in grads.values():
         sq += float(np.sum(g.astype(np.float64) ** 2))
@@ -241,7 +255,8 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: Optimizer
         raise NumericsError(f"non-finite gradient in tensor '{bad}'" if bad else "gradient norm overflows")
     if 0 < opt.clip_norm < norm:
         scale = opt.clip_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
+        for g in grads.values():
+            g *= scale
     t = state.step
     lr = learning_rate(t, opt)
     bias1 = 1.0 - ADAM_BETA1**t
@@ -251,11 +266,19 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: Optimizer
         m = state.adam_m[name]
         v = state.adam_v[name]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        tensor -= (lr * update).astype(tensor.dtype)
+        tmp = (1.0 - ADAM_BETA2) * g
+        tmp *= g
+        v += tmp
+        g *= 1.0 - ADAM_BETA1
+        m += g
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, bias1, out=g)
+        g /= tmp
+        g *= lr
+        tensor -= g
 
 
 def _zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -381,7 +404,7 @@ def train(
                 yield example, dropout_keep(config, state.rng, n_input, n_target) if config.dropout > 0 else None
 
         batch_loss = 0.0
-        grad_sum: dict[str, np.ndarray] | None = None
+        grads: dict[str, np.ndarray] = {}  # the step's one gradient buffer
         try:
             for chunk in token_chunks(sampled(), lambda pair: len(pair[0].input_seq.ids) + len(pair[0].target)):
                 examples = [example for example, _ in chunk]
@@ -392,17 +415,13 @@ def train(
                     [example.target for example in examples],
                     disable_attention=not variant.attention_encoding,
                     rng=[keep for _, keep in chunk] if config.dropout > 0 else None,
+                    grads=grads,
                 )
                 batch_loss += loss
-                if grad_sum is None:
-                    grad_sum = grads
-                else:
-                    for name in grad_sum:
-                        grad_sum[name] += grads[name]
             scale = 1.0 / opt.batch_size
-            for name in grad_sum:
-                grad_sum[name] *= scale
-            _adam_update(state, grad_sum, opt)
+            for g in grads.values():
+                g *= scale
+            _adam_update(state, grads, opt)
             state.last_train_loss = batch_loss / opt.batch_size
         except NumericsError as exc:
             raise TrainingDiverged(

@@ -25,7 +25,7 @@ from threadsum.model import (
     init_params,
     token_weights,
 )
-from threadsum.tokenizer import BOS, EOS, PAD, SEP, TokenSeq
+from threadsum.tokenizer import BOS, EOS, PAD, SEP, SPECIAL_TOKENS, TokenSeq
 
 
 def thread_with_likes(likes):
@@ -640,6 +640,27 @@ class TestChunk:
         largest = max(np.abs(g).max() for g in summed.values())
         for name in summed:
             np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12 * largest, err_msg=name)
+
+    def test_adds_into_a_given_gradient_dict(self):
+        """forward_loss(..., grads=d) returns d and adds into its arrays in
+        place: two chunks added into one dict equal the sum of their
+        separate dicts bit for bit, in the same key order, tok_emb rows that
+        both chunks touch included."""
+        params = init_params(TINY, seed=38)
+        seqs, weights, targets = chunk_inputs(39)
+        first, second = (seqs[:2], weights[:2], targets[:2]), (seqs[2:], weights[2:], targets[2:])
+        ids = [{i for s in chunk[0] for i in s.ids} | {i for t in chunk[2] for i in t} for chunk in (first, second)]
+        assert (ids[0] & ids[1]) - set(range(len(SPECIAL_TOKENS)))  # ordinary tokens' tok_emb rows both chunks add to
+        _, a = forward_loss(params, *first)
+        _, b = forward_loss(params, *second)
+        d = {}
+        assert forward_loss(params, *first, grads=d)[1] is d
+        arrays = dict(d)
+        assert forward_loss(params, *second, grads=d)[1] is d
+        assert list(d) == list(a)
+        for name, g in d.items():
+            assert g is arrays[name], name
+            assert g.dtype == np.float32 and g.tobytes() == (a[name] + b[name]).tobytes(), name
 
     def test_keep_masks_are_the_per_layer_draws(self):
         """dropout_keep's one draw per example gives the keep masks, and

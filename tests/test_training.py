@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from threadsum.checkpoint import CheckpointError, write_tensors
+from threadsum.checkpoint import CheckpointError, read_tensors, write_tensors
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum import training
-from threadsum.model import ModelConfig, attention_weights, forward_loss
+from threadsum.model import ModelConfig, NumericsError, attention_weights, dropout_keep, forward_loss
 from threadsum.tokenizer import BOS, EOS, SEP, save_vocab, train_vocab, vocab_hash
 from threadsum.training import (
     CHUNK_TOKENS,
@@ -287,6 +287,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        """A file that declares two tensors of one name is corrupt; the
+        later one does not silently replace the earlier."""
+        path = tmp_path / "ck.tsck"
+        write_tensors(path, {"step": 1}, {"w": np.zeros(2, np.float32), "x": np.ones(2, np.float32)})
+        data = path.read_bytes()
+        assert data.count(b"\x01\x00x") == 1  # the second tensor's name, after its length
+        path.write_bytes(data.replace(b"\x01\x00x", b"\x01\x00w"))
+        with pytest.raises(CheckpointError, match="'w' appears twice"):
+            read_tensors(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "ck.tsck"
         tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
@@ -374,6 +385,25 @@ class TestGradientCheckedOncePerStep:
                 np.testing.assert_array_equal(after[kind][name], tensor, err_msg=f"{kind} {name}")
 
 
+def directional_setup():
+    """The graded corpus, vocabulary and model config of the directional
+    acceptance config with dropout 0.1."""
+    from threadsum.corpus import RawComment, RawThread, preprocess
+    from threadsum.synth import make_corpus as synth_corpus
+
+    raw = [
+        RawThread(d["id"], d["title"], [RawComment(c["text"], c["likes"]) for c in d["comments"]])
+        for d in synth_corpus(40, seed=38, style="graded")
+    ]
+    corpus = preprocess(raw)
+    vocab = train_vocab(corpus, vocab_size=420)
+    config = ModelConfig(
+        vocab_size=len(vocab), d_model=48, n_enc_blocks=1, n_dec_blocks=1,
+        n_heads=4, d_ff=96, max_len=128, dropout=0.1, label_smoothing=0.1,
+    )
+    return corpus, vocab, config
+
+
 def reference_step(state, corpus, vocab, variant, config, opt):
     """The training step before examples were packed into chunks, kept
     verbatim: one forward_loss per example, each drawing its dropout from
@@ -413,7 +443,10 @@ class TestChunkedStep:
     call each, and keeps the per-example step's rng stream and results."""
 
     def test_token_chunks_keep_order_and_isolate_long_items(self):
-        sizes = [100, 300, 200, CHUNK_TOKENS + 50, 10, CHUNK_TOKENS - 10, 12, CHUNK_TOKENS]
+        sizes = [
+            CHUNK_TOKENS // 5, 3 * CHUNK_TOKENS // 5, 2 * CHUNK_TOKENS // 5,
+            CHUNK_TOKENS + 50, 10, CHUNK_TOKENS - 10, 12, CHUNK_TOKENS,
+        ]
         chunks = list(token_chunks(range(len(sizes)), sizes.__getitem__))
         assert chunks == [[0, 1], [2], [3], [4, 5], [6], [7]]
         assert [i for chunk in chunks for i in chunk] == list(range(len(sizes)))
@@ -422,22 +455,24 @@ class TestChunkedStep:
         assert list(token_chunks([], len)) == []
 
     def test_matches_the_per_example_step(self, monkeypatch):
-        """Five float32 steps at the directional config with dropout 0.1:
-        after every step the rng state is bit-equal, the batch losses agree
-        to 1e-6 and the parameters to float32 reassociation."""
-        from threadsum.corpus import RawComment, RawThread, preprocess
-        from threadsum.synth import make_corpus as synth_corpus
+        """Five float32 steps at the directional config with dropout 0.1 and
+        a 512-token budget, which splits every step into chunks: after every
+        step the rng state is bit-equal, the batch losses agree to 1e-6 and
+        the parameters to float32 reassociation."""
+        monkeypatch.setattr(training, "CHUNK_TOKENS", 512)
+        chunk_sizes = self.compare_with_the_per_example_step(monkeypatch)
+        assert max(chunk_sizes) > 1 and len(chunk_sizes) > 5  # packed, and more than one chunk a step
 
-        raw = [
-            RawThread(d["id"], d["title"], [RawComment(c["text"], c["likes"]) for c in d["comments"]])
-            for d in synth_corpus(40, seed=38, style="graded")
-        ]
-        corpus = preprocess(raw)
-        vocab = train_vocab(corpus, vocab_size=420)
-        config = ModelConfig(
-            vocab_size=len(vocab), d_model=48, n_enc_blocks=1, n_dec_blocks=1,
-            n_heads=4, d_ff=96, max_len=128, dropout=0.1, label_smoothing=0.1,
-        )
+    def test_matches_the_per_example_step_at_the_shipped_budget(self, monkeypatch):
+        """The same comparison at CHUNK_TOKENS, where a directional step is one chunk."""
+        chunk_sizes = self.compare_with_the_per_example_step(monkeypatch)
+        assert chunk_sizes == [8] * 5
+
+    @staticmethod
+    def compare_with_the_per_example_step(monkeypatch):
+        """Runs the comparison; returns the number of examples of every
+        forward_loss call train made."""
+        corpus, vocab, config = directional_setup()
         opt = OptimizerConfig(lr_peak=1e-3, warmup_steps=200, batch_size=8)
         variant = get_variant(7)
         chunked = new_state(config, variant, seed=39)
@@ -463,7 +498,120 @@ class TestChunkedStep:
                     chunked.params.tensors[name], tensor, rtol=1e-5, atol=1e-6, err_msg=name
                 )
         assert sum(chunk_sizes) == 5 * opt.batch_size
-        assert max(chunk_sizes) > 1 and len(chunk_sizes) > 5  # packed, and more than one chunk a step
+        return chunk_sizes
+
+
+def reference_adam_update(state, grads, opt):
+    """training._adam_update before it worked in place, kept verbatim: the
+    clip scales a copy of every gradient and the update is cast to the
+    tensor's dtype.  Returns the gradient norm."""
+    sq = 0.0
+    for g in grads.values():
+        sq += float(np.sum(g.astype(np.float64) ** 2))
+    norm = math.sqrt(sq)
+    if not math.isfinite(norm):
+        bad = next((k for k, g in grads.items() if not np.all(np.isfinite(g))), None)
+        raise NumericsError(f"non-finite gradient in tensor '{bad}'" if bad else "gradient norm overflows")
+    if 0 < opt.clip_norm < norm:
+        scale = opt.clip_norm / norm
+        grads = {k: g * scale for k, g in grads.items()}
+    t = state.step
+    lr = learning_rate(t, opt)
+    bias1 = 1.0 - training.ADAM_BETA1**t
+    bias2 = 1.0 - training.ADAM_BETA2**t
+    for name, tensor in state.params.tensors.items():
+        g = grads[name]
+        m = state.adam_m[name]
+        v = state.adam_v[name]
+        m *= training.ADAM_BETA1
+        m += (1.0 - training.ADAM_BETA1) * g
+        v *= training.ADAM_BETA2
+        v += (1.0 - training.ADAM_BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + training.ADAM_EPS)
+        tensor -= (lr * update).astype(tensor.dtype)
+    return norm
+
+
+def reference_summed_step(state, corpus, vocab, variant, config, opt):
+    """train's step before it owned one gradient buffer, kept verbatim: each
+    chunk's forward_loss returns a gradient dict of its own, the step sums
+    them, and reference_adam_update takes the sum.  Returns the number of
+    chunks and the gradient norm."""
+    state.step += 1
+    idxs = state.rng.integers(0, len(corpus), size=opt.batch_size)
+
+    def sampled():
+        """Each example with its dropout keep masks, drawn right after it."""
+        for i in idxs:
+            thread = corpus[int(i)]
+            example = sample_target(
+                thread, attention_weights(thread), variant, vocab, state.rng, config.max_len
+            )
+            n_input, n_target = len(example.input_seq.ids), len(example.target)
+            yield example, dropout_keep(config, state.rng, n_input, n_target) if config.dropout > 0 else None
+
+    batch_loss = 0.0
+    grad_sum = None
+    n_chunks = 0
+    for chunk in token_chunks(sampled(), lambda pair: len(pair[0].input_seq.ids) + len(pair[0].target)):
+        n_chunks += 1
+        examples = [example for example, _ in chunk]
+        loss, grads = forward_loss(
+            state.params,
+            [example.input_seq for example in examples],
+            [example.weights for example in examples],
+            [example.target for example in examples],
+            disable_attention=not variant.attention_encoding,
+            rng=[keep for _, keep in chunk] if config.dropout > 0 else None,
+        )
+        batch_loss += loss
+        if grad_sum is None:
+            grad_sum = grads
+        else:
+            for name in grad_sum:
+                grad_sum[name] += grads[name]
+    scale = 1.0 / opt.batch_size
+    for name in grad_sum:
+        grad_sum[name] *= scale
+    norm = reference_adam_update(state, grad_sum, opt)
+    state.last_train_loss = batch_loss / opt.batch_size
+    return n_chunks, norm
+
+
+class TestOneGradientBuffer:
+    """Every chunk of a step adds into the step's one gradient dict, which
+    clipping scales in place and Adam uses as scratch: the step equals the
+    one that summed per-chunk dicts, clipped by copy and cast Adam's
+    update, bit for bit."""
+
+    @pytest.mark.parametrize("clip_norm", [1.0, 1e-3])
+    def test_equals_the_summed_dicts_step(self, monkeypatch, clip_norm):
+        """Five float32 steps at the directional config with dropout 0.1 and
+        a 512-token budget, so every step has more than one chunk; 1e-3
+        clips every step."""
+        monkeypatch.setattr(training, "CHUNK_TOKENS", 512)
+        corpus, vocab, config = directional_setup()
+        opt = OptimizerConfig(lr_peak=1e-3, warmup_steps=200, batch_size=8, clip_norm=clip_norm)
+        variant = get_variant(7)
+        buffered = new_state(config, variant, seed=40)
+        reference = new_state(config, variant, seed=40)
+        for step in range(1, 6):
+            train(corpus, vocab, variant, config, opt, TrainSchedule(step, 0), initial_state=buffered)
+            n_chunks, norm = reference_summed_step(reference, corpus, vocab, variant, config, opt)
+            assert n_chunks > 1
+            if clip_norm < 1.0:
+                assert norm > clip_norm
+            assert buffered.rng.bit_generator.state == reference.rng.bit_generator.state
+            assert buffered.last_train_loss == reference.last_train_loss
+            for kind, got, want in (
+                ("params", buffered.params.tensors, reference.params.tensors),
+                ("adam_m", buffered.adam_m, reference.adam_m),
+                ("adam_v", buffered.adam_v, reference.adam_v),
+            ):
+                assert list(got) == list(want)
+                for name, tensor in want.items():
+                    assert got[name].dtype == tensor.dtype == np.float32
+                    assert got[name].tobytes() == tensor.tobytes(), f"step {step} {kind} {name}"
 
 
 class TestInitialStateMustMatch:
