@@ -28,6 +28,7 @@ from threadsum.model import ModelConfig
 from threadsum.tokenizer import load_vocab, save_vocab, train_vocab, vocab_hash
 from threadsum.training import (
     OptimizerConfig,
+    TrainingError,
     TrainSchedule,
     get_variant,
     load_checkpoint,
@@ -213,7 +214,12 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     threads = corpus_mod.load_clean(args.input)
-    train_fold = [t for t in threads if t.fold == "train"] or threads
+    train_fold = [t for t in threads if t.fold == "train"]
+    if not train_fold:  # a corpus without folds trains on every thread, never on held-out ones
+        folds = sorted({t.fold for t in threads if t.fold})
+        if folds:
+            raise TrainingError(f"{args.input} has no thread in the train fold, only in {', '.join(folds)}")
+        train_fold = threads
     val_fold = [t for t in threads if t.fold == "validation"] or None
     vocab = load_vocab(args.vocab)
     sha = vocab_hash(args.vocab)

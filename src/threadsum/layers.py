@@ -27,8 +27,23 @@ row term sum_j dP_ij P_ij equals dctx_i . ctx_i (FlashAttention, Dao et al.
 A layer writes only into temporaries it allocated itself: the large
 kernels (softmax, attend, linear, GELU, layer norm) compute in place in
 arrays they made, in the operation order of the plain expressions, so
-their results are bit for bit those of the expressions, and no layer ever
-writes into an argument or into a cache it was given.
+their results are bit for bit those of the expressions, and no layer
+writes into a cache it was given.  The one exception is softmax(x,
+out=x), which writes into its argument at its caller's request: attend
+runs the softmax in the score array it allocated.
+
+Each forward caches only what its backward reads:
+- linear: its input and weight;
+- layer norm: the normalised input, the inverse deviations and gamma;
+- GELU: its derivative, computed in the same row tiles as the output,
+  so the FFN keeps neither its pre-activation nor the tanh;
+- dropout: the bool keep mask and the scale, no float mask;
+- attention: the projections' caches, the head-split Q, K and V, each
+  block's probabilities, and one (Tq, d_model) context, written block by
+  block through its head-split view and read as the output projection's
+  input.
+Inference needs no cache: gelu is the forward alone, and incremental
+decoding runs the FFN as linear_fwd, gelu, linear_fwd.
 """
 
 from __future__ import annotations
@@ -40,12 +55,16 @@ import numpy as np
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# GELU works through its rows in tiles of this many bytes of input, so that
+# a tile's temporaries stay in a 2 MB L2 cache while it is computed
+_TILE_BYTES = 256 * 1024
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1, out=None) -> np.ndarray:
+    """Softmax along axis, into out when given (out=x overwrites x)."""
     # the ufunc reductions np.max and np.sum call, without their Python
     # wrappers: the decoder step takes thousands of softmaxes of tiny arrays
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
@@ -97,7 +116,9 @@ def layer_norm_bwd(dout, cache):
     return dx, dgamma, dbeta
 
 
-def gelu_fwd(x):
+def _gelu_tile(x, out, dgelu):
+    """GELU of the rows x into out and, unless dgelu is None, its derivative
+    into dgelu, while x's tile is still in cache."""
     # 0.5 x (1 + tanh(c (x + a x^3))), x^3 as x*x*x (x**3 is numpy's slow pow path)
     u = x * x
     u *= x
@@ -105,28 +126,57 @@ def gelu_fwd(x):
     u += x
     u *= _GELU_C
     t = np.tanh(u)
-    out = t + 1.0
-    out *= np.multiply(x, 0.5, out=u)
-    return out, (x, t)
+    np.multiply(x, 0.5, out=u)
+    if dgelu is not None:
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        np.multiply(t, t, out=dgelu)
+        np.subtract(1.0, dgelu, out=dgelu)
+        dgelu *= u
+    t += 1.0
+    np.multiply(t, u, out=out)
+    if dgelu is not None:
+        np.multiply(x, x, out=u)
+        u *= 3.0 * _GELU_A
+        u += 1.0
+        u *= _GELU_C
+        dgelu *= u
+        t *= 0.5
+        dgelu += t
 
 
-def gelu_bwd(dout, cache):
-    # dout (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2))
-    x, t = cache
-    g = t * t
-    np.subtract(1.0, g, out=g)
-    h = np.multiply(x, 0.5)
-    g *= h
-    np.multiply(x, x, out=h)
-    h *= 3.0 * _GELU_A
-    h += 1.0
-    h *= _GELU_C
-    g *= h
-    np.add(t, 1.0, out=h)
-    h *= 0.5
-    g += h
-    g *= dout
-    return g
+def _gelu_tiles(x, derivative: bool):
+    """GELU's output and, when derivative, its derivative (else None), tile
+    by tile over x's rows, _TILE_BYTES of x at a time."""
+    out = np.empty_like(x)
+    grad = np.empty_like(x) if derivative else None
+    rows = max(1, _TILE_BYTES // max(1, x[:1].nbytes))
+    for start in range(0, len(x), rows):
+        tile = slice(start, start + rows)
+        _gelu_tile(x[tile], out[tile], None if grad is None else grad[tile])
+    return out, grad
+
+
+def gelu(x):
+    """GELU's forward alone, for inference."""
+    return _gelu_tiles(x, derivative=False)[0]
+
+
+def gelu_fwd(x):
+    return _gelu_tiles(x, derivative=True)
+
+
+def gelu_bwd(dout, dgelu):
+    return dout * dgelu
+
+
+def _masked(x, cache):
+    """x times the float mask of (keep, scale): 0 where keep is False, the
+    scale where it is True, in x's dtype."""
+    keep, scale = cache
+    out = keep.astype(x.dtype)  # the mask, built in the output's array
+    out *= scale
+    out *= x
+    return out
 
 
 def dropout_fwd(x, p: float, keeps):
@@ -135,16 +185,19 @@ def dropout_fwd(x, p: float, keeps):
     keeps is an iterator yielding the bool keep mask, shaped like x, of a
     float64 draw made earlier (model.dropout_keep: uniforms at or above p
     keep their positions), so the dropped positions depend only on the rng
-    state at every dtype.  The mask, and so the output, is in x's dtype.
+    state at every dtype.  The output is x times the float mask holding 0
+    or the scale 1 / (1 - p) in x's dtype, the sign of every zero included.
+    The cache is the bool mask and the scale; the backward rebuilds the
+    float mask in its output's array.
     """
     if p <= 0.0 or keeps is None:
         return x, None
-    mask = next(keeps).astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
-    return x * mask, mask
+    cache = next(keeps), x.dtype.type(1.0 / (1.0 - p))
+    return _masked(x, cache), cache
 
 
-def dropout_bwd(dout, mask):
-    return dout if mask is None else dout * mask
+def dropout_bwd(dout, cache):
+    return dout if cache is None else _masked(dout, cache)
 
 
 def _split_heads(x, n_heads):
@@ -170,8 +223,8 @@ def attend(q, k, v, mask=None):
     s *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
         s += mask
-    probs = softmax(s, axis=-1)
-    return probs, probs @ v
+    softmax(s, axis=-1, out=s)  # s becomes the probabilities
+    return s, s @ v
 
 
 def attend_bwd(dctx, q, k, v, probs, ctx):
@@ -207,12 +260,13 @@ def attention_fwd(q_in, kv_in, p: dict, n_heads: int, mask=None):
     V, c_v = linear_fwd(kv_in, p["Wv"], p["bv"])
     Qh, Kh, Vh = (_split_heads(m, n_heads) for m in (Q, K, V))
     blocks = mask if isinstance(mask, list) else [(slice(None), slice(None), mask)]
-    Ch = np.empty_like(Qh)
+    C = np.empty_like(Q)  # the merged context, written through its head-split view
+    Ch = _split_heads(C, n_heads)
     probs = []
     for q_rows, kv_rows, block in blocks:
         P, Ch[:, q_rows] = attend(Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], block)
         probs.append(P)
-    out, c_o = linear_fwd(_merge_heads(Ch), p["Wo"], p["bo"])
+    out, c_o = linear_fwd(C, p["Wo"], p["bo"])
     return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, Ch, blocks, probs, n_heads)
 
 

@@ -480,8 +480,9 @@ class IncrementalDecoder:
         kv = []
         for block, (k_enc, v_enc), (k_past, v_past) in zip(self.blocks, self.cross_kv, self._kv):
             for sub, p, ln in block:
-                if sub == "ffn":
-                    f, _ = layers.ffn_fwd(y, p)
+                if sub == "ffn":  # the forward alone: ffn_fwd would compute GELU's derivative
+                    h, _ = layers.linear_fwd(y, p["W1"], p["b1"])
+                    f, _ = layers.linear_fwd(layers.gelu(h), p["W2"], p["b2"])
                 elif sub == "self":
                     q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
                     k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])

@@ -174,7 +174,10 @@ def sample_comment_indices(comment_weights: np.ndarray, n_comments: int, rng) ->
         total = w.sum()
         probs = w / total if total > 0 else np.full(len(pool), 1.0 / len(pool))
         probs = probs / probs.sum()
-        pick = int(rng.choice(len(pool), p=probs))
+        # the draw rng.choice(len(pool), p=probs) makes, without its per-call checks
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        pick = int(np.searchsorted(cdf, rng.random(), side="right"))
         chosen.append(pool.pop(pick))
     return sorted(chosen)
 

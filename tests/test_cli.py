@@ -211,6 +211,39 @@ def test_help_shows_the_dataclass_defaults(command, capsys):
         assert shown and shown.group(1) == str(default), (command, flag)
 
 
+class TestTrainFold:
+    def test_held_out_folds_alone_are_rejected(self, tmp_path, capsys):
+        """A ratio that rounds the train fold to nothing leaves only
+        validation and test threads, which train must not fit."""
+        clean, vocab, run_dir = tmp_path / "clean.jsonl", tmp_path / "vocab.txt", tmp_path / "run"
+        assert run(["preprocess", "--in", DATA, "--out", str(clean), "--seed", "1", "--ratios", "0.01,0.49,0.5"]) == 0
+        assert {json.loads(line)["fold"] for line in clean.read_text().splitlines()} == {"validation", "test"}
+        assert run(["build-vocab", "--in", str(clean), "--out", str(vocab), "--vocab-size", "300", "--fold", "all"]) == 0
+        capsys.readouterr()
+        code = run(
+            ["train", "--in", str(clean), "--vocab", str(vocab), "--out-dir", str(run_dir), "--steps", "2"]
+            + FAST_TRAIN
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert error.startswith("TrainingError:") and "test, validation" in error
+        assert not run_dir.exists()
+
+    def test_corpus_without_folds_trains_on_every_thread(self, tmp_path):
+        clean, vocab, run_dir = tmp_path / "clean.jsonl", tmp_path / "vocab.txt", tmp_path / "run"
+        assert run(["preprocess", "--in", DATA, "--out", str(clean), "--seed", "1"]) == 0
+        rows = [json.loads(line) for line in clean.read_text().splitlines()]
+        clean.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "fold"}) + "\n" for row in rows))
+        assert run(["build-vocab", "--in", str(clean), "--out", str(vocab), "--vocab-size", "300", "--fold", "all"]) == 0
+        code = run(
+            ["train", "--in", str(clean), "--vocab", str(vocab), "--out-dir", str(run_dir),
+             "--steps", "2", "--eval-every", "2"]
+            + FAST_TRAIN
+        )
+        assert code == 0
+        assert (run_dir / "step00000002.tsck").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Shared tiny end-to-end run: preprocess -> vocab -> train -> artifacts."""

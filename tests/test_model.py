@@ -502,9 +502,9 @@ class TestDtype:
     def test_float64_dropout_equals_the_float64_mask_bit_for_bit(self):
         x = np.random.default_rng(16).normal(size=(7, 11))
         for p in (0.1, 0.25, 0.5):
-            out, mask = layers.dropout_fwd(x, p, iter([np.random.default_rng(17).random(x.shape) >= p]))
+            out, cache = layers.dropout_fwd(x, p, iter([np.random.default_rng(17).random(x.shape) >= p]))
             expected_mask = (np.random.default_rng(17).random(x.shape) >= p) / (1.0 - p)
-            np.testing.assert_array_equal(mask, expected_mask)
+            np.testing.assert_array_equal(layers.dropout_bwd(np.ones_like(x), cache), expected_mask)
             np.testing.assert_array_equal(out, x * expected_mask)
 
 

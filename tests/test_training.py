@@ -7,7 +7,7 @@ import pytest
 
 from threadsum.checkpoint import CheckpointError, read_tensors, write_tensors
 from threadsum.corpus import CleanComment, CleanThread
-from threadsum import training
+from threadsum import layers, training
 from threadsum.model import ModelConfig, NumericsError, attention_weights, dropout_keep, forward_loss
 from threadsum.tokenizer import BOS, EOS, SEP, save_vocab, train_vocab, vocab_hash
 from threadsum.training import (
@@ -153,6 +153,37 @@ class TestSamplingLaw:
     def test_exhaustive_draw_in_thread_order(self):
         rng = np.random.default_rng(5)
         assert sample_comment_indices(np.array([0.2, 0.9, 0.5]), 3, rng) == [0, 1, 2]
+
+
+def reference_sample_comment_indices(comment_weights, n_comments, rng):
+    """sample_comment_indices before it drew from the cumulative weights
+    itself, kept verbatim: each pick is Generator.choice's."""
+    n = len(comment_weights)
+    take = min(n_comments, n)
+    pool = list(range(n))
+    chosen = []
+    for _ in range(take):
+        w = np.asarray([comment_weights[i] for i in pool], dtype=np.float64)
+        total = w.sum()
+        probs = w / total if total > 0 else np.full(len(pool), 1.0 / len(pool))
+        probs = probs / probs.sum()
+        pick = int(rng.choice(len(pool), p=probs))
+        chosen.append(pool.pop(pick))
+    return sorted(chosen)
+
+
+class TestSamplingDraw:
+    def test_equals_generator_choice(self):
+        """20,000 random weight vectors of 1 to 8 comments, zero weights and
+        all-zero vectors among them, 3 draws each: the same picks, and the
+        rng left in the same state, as Generator.choice's draws."""
+        gen = np.random.default_rng(52)
+        ours, theirs = np.random.default_rng(53), np.random.default_rng(53)
+        for _ in range(20000):
+            n = int(gen.integers(1, 9))
+            weights = gen.random(n) * (gen.random(n) < 0.7)
+            assert sample_comment_indices(weights, 3, ours) == reference_sample_comment_indices(weights, 3, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestSampleTarget:
@@ -612,6 +643,146 @@ class TestOneGradientBuffer:
                 for name, tensor in want.items():
                     assert got[name].dtype == tensor.dtype == np.float32
                     assert got[name].tobytes() == tensor.tobytes(), f"step {step} {kind} {name}"
+
+
+# The layers before they cached only what their backward reads, kept
+# verbatim: GELU cached its input and tanh, dropout a float mask, attend
+# allocated the probabilities apart from its scores, and attention_fwd
+# merged its heads' context after writing it.
+
+
+def full_cache_gelu_fwd(x):
+    # 0.5 x (1 + tanh(c (x + a x^3))), x^3 as x*x*x (x**3 is numpy's slow pow path)
+    u = x * x
+    u *= x
+    u *= layers._GELU_A
+    u += x
+    u *= layers._GELU_C
+    t = np.tanh(u)
+    out = t + 1.0
+    out *= np.multiply(x, 0.5, out=u)
+    return out, (x, t)
+
+
+def full_cache_gelu_bwd(dout, cache):
+    # dout (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2))
+    x, t = cache
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    h = np.multiply(x, 0.5)
+    g *= h
+    np.multiply(x, x, out=h)
+    h *= 3.0 * layers._GELU_A
+    h += 1.0
+    h *= layers._GELU_C
+    g *= h
+    np.add(t, 1.0, out=h)
+    h *= 0.5
+    g += h
+    g *= dout
+    return g
+
+
+def full_cache_dropout_fwd(x, p: float, keeps):
+    if p <= 0.0 or keeps is None:
+        return x, None
+    mask = next(keeps).astype(x.dtype) * x.dtype.type(1.0 / (1.0 - p))
+    return x * mask, mask
+
+
+def full_cache_dropout_bwd(dout, mask):
+    return dout if mask is None else dout * mask
+
+
+def allocating_attend(q, k, v, mask=None):
+    s = q @ np.swapaxes(k, -1, -2)
+    s *= 1.0 / math.sqrt(q.shape[-1])
+    if mask is not None:
+        s += mask
+    probs = layers.softmax(s, axis=-1)
+    return probs, probs @ v
+
+
+def full_cache_attention_fwd(q_in, kv_in, p: dict, n_heads: int, mask=None):
+    Q, c_q = layers.linear_fwd(q_in, p["Wq"], p["bq"])
+    K, c_k = layers.linear_fwd(kv_in, p["Wk"], p["bk"])
+    V, c_v = layers.linear_fwd(kv_in, p["Wv"], p["bv"])
+    Qh, Kh, Vh = (layers._split_heads(m, n_heads) for m in (Q, K, V))
+    blocks = mask if isinstance(mask, list) else [(slice(None), slice(None), mask)]
+    Ch = np.empty_like(Qh)
+    probs = []
+    for q_rows, kv_rows, block in blocks:
+        P, Ch[:, q_rows] = allocating_attend(Qh[:, q_rows], Kh[:, kv_rows], Vh[:, kv_rows], block)
+        probs.append(P)
+    out, c_o = layers.linear_fwd(layers._merge_heads(Ch), p["Wo"], p["bo"])
+    return out, (c_q, c_k, c_v, c_o, Qh, Kh, Vh, Ch, blocks, probs, n_heads)
+
+
+FULL_CACHE_LAYERS = {
+    "gelu_fwd": full_cache_gelu_fwd, "gelu_bwd": full_cache_gelu_bwd,
+    "dropout_fwd": full_cache_dropout_fwd, "dropout_bwd": full_cache_dropout_bwd,
+    "attend": allocating_attend, "attention_fwd": full_cache_attention_fwd,
+}
+
+
+class TestLeanCaches:
+    """GELU caches its derivative, computed in row tiles, dropout its bool
+    mask, attention one context and attend its probabilities in its score
+    array: the results are those of the full-cache layers, bit for bit."""
+
+    def test_steps_equal_the_full_cache_layers(self, monkeypatch):
+        """Five float32 steps at the directional config with dropout 0.1 and
+        d_ff 512, whose FFN rows end in a partial GELU tile: parameters, both
+        Adam moments, the rng state and the loss equal those of the same
+        steps on the full-cache layers."""
+        corpus, vocab, config = directional_setup()
+        config = ModelConfig(**{**config.__dict__, "d_ff": 512})
+        opt = OptimizerConfig(lr_peak=1e-3, warmup_steps=200, batch_size=8)
+        variant = get_variant(7)
+        lean = new_state(config, variant, seed=41)
+        full = new_state(config, variant, seed=41)
+        gelu_rows = []
+        lean_gelu_fwd = layers.gelu_fwd
+
+        def recording(x):
+            gelu_rows.append(len(x))
+            return lean_gelu_fwd(x)
+
+        for step in range(1, 6):
+            with monkeypatch.context() as patch:
+                patch.setattr(layers, "gelu_fwd", recording)
+                train(corpus, vocab, variant, config, opt, TrainSchedule(step, 0), initial_state=lean)
+            with monkeypatch.context() as patch:
+                for name, fn in FULL_CACHE_LAYERS.items():
+                    patch.setattr(layers, name, fn)
+                train(corpus, vocab, variant, config, opt, TrainSchedule(step, 0), initial_state=full)
+            assert lean.rng.bit_generator.state == full.rng.bit_generator.state
+            assert lean.last_train_loss == full.last_train_loss
+            for kind, got, want in (
+                ("params", lean.params.tensors, full.params.tensors),
+                ("adam_m", lean.adam_m, full.adam_m),
+                ("adam_v", lean.adam_v, full.adam_v),
+            ):
+                for name, tensor in want.items():
+                    assert got[name].dtype == tensor.dtype == np.float32
+                    assert got[name].tobytes() == tensor.tobytes(), f"step {step} {kind} {name}"
+        tile_rows = layers._TILE_BYTES // (config.d_ff * np.dtype(np.float32).itemsize)
+        assert any(rows > tile_rows and rows % tile_rows for rows in gelu_rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_at_tile_edges(self, dtype):
+        """At d_ff 512 a float32 tile holds 128 rows, a float64 tile 64:
+        gelu equals gelu_fwd's output, and gelu_fwd and gelu_bwd equal the
+        full-cache pair, bit for bit."""
+        rng = np.random.default_rng(54)
+        for rows in (1, 127, 128, 129, 1000):
+            x = rng.normal(0.0, 2.0, (rows, 512)).astype(dtype)
+            dout = rng.normal(size=x.shape).astype(dtype)
+            out, dgelu = layers.gelu_fwd(x)
+            want, cache = full_cache_gelu_fwd(x)
+            assert out.dtype == dgelu.dtype == dtype
+            assert layers.gelu(x).tobytes() == out.tobytes() == want.tobytes(), rows
+            assert layers.gelu_bwd(dout, dgelu).tobytes() == full_cache_gelu_bwd(dout, cache).tobytes(), rows
 
 
 class TestInitialStateMustMatch:
