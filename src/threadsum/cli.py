@@ -72,9 +72,10 @@ def _model_config(args, vocab_size: int) -> ModelConfig:
 
 
 def _check_resume_flags(args, state) -> None:
-    """A resumed run keeps the checkpoint's model and variant, so a model
-    flag or --variant that was given, on the command line or in an @file,
-    and disagrees with the checkpoint exits 2, whatever its value.
+    """A resumed run keeps the checkpoint's model, variant and rng, so a
+    model flag or --variant that was given, on the command line or in an
+    @file, and disagrees with the checkpoint exits 2, whatever its value, as
+    does any given --seed or a --steps that is not past the checkpoint's step.
 
     argparse cannot say which flags were given, so the subcommand's
     arguments are parsed again into a namespace holding a sentinel for every
@@ -89,6 +90,10 @@ def _check_resume_flags(args, state) -> None:
                 f"--{dest.replace('_', '-')} {given[dest]} differs from the checkpoint's "
                 f"{kept}; --resume keeps the checkpoint's model and variant"
             )
+    if given["seed"] is not unset:
+        args._sub.error(f"--seed {given['seed']} has no effect: --resume continues the checkpoint's rng")
+    if args.steps <= state.step:
+        args._sub.error(f"--steps {args.steps} is not past the checkpoint's step {state.step}; nothing to train")
 
 
 def _ratios(text: str) -> tuple[float, float, float]:
@@ -142,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=8000, help="target vocabulary size")
     p.add_argument("--min-freq", type=int, default=1, help="minimum pair frequency to merge")
     p.add_argument("--no-lowercase", action="store_true", help="keep original casing")
-    p.add_argument("--fold", default="train", choices=("train", "validation", "test", "all"), help="fold to read")
+    p.add_argument("--fold", default="train", choices=(*corpus_mod.FOLDS, "all"), help="fold to read")
 
     o = OptimizerConfig
     p = sub.add_parser("train", formatter_class=argparse.ArgumentDefaultsHelpFormatter, help="train one task variant")
@@ -152,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, default=7, help="task variant id (1..8)")
     p.add_argument("--steps", type=int, default=2000, help="total optimizer steps")
     p.add_argument("--eval-every", type=int, default=TrainSchedule.eval_every, help="checkpoint cadence in steps")
-    p.add_argument("--seed", type=int, default=0, help="random seed (unused with --resume, which continues the checkpoint's rng)")
-    p.add_argument("--resume", default=None, help="checkpoint to continue from; its model and variant are kept")
+    p.add_argument("--seed", type=int, default=0, help="random seed (refused with --resume, which continues the checkpoint's rng)")
+    p.add_argument("--resume", default=None, help="checkpoint to continue from; its model, variant and rng are kept")
     p.add_argument("--lr-peak", type=float, default=o.lr_peak, help="peak learning rate")
     p.add_argument("--warmup-steps", type=int, default=o.warmup_steps, help="learning-rate warmup steps")
     p.add_argument("--batch-size", type=int, default=o.batch_size, help="threads per optimizer step")
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file from build-vocab")
     p.add_argument("--checkpoint", required=True, help="model checkpoint file")
     p.add_argument("--out", dest="output", required=True, help="summaries JSONL")
-    p.add_argument("--fold", default="test", choices=("train", "validation", "test", "all"), help="fold to read")
+    p.add_argument("--fold", default="test", choices=(*corpus_mod.FOLDS, "all"), help="fold to read")
     p.add_argument("--provide-likes", action="store_true", help="feed real likes instead of uniform weights")
     _add_decode_flags(p)
 
@@ -176,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file from build-vocab")
     p.add_argument("--checkpoint", required=True, help="model checkpoint file")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--fold", default="test", choices=("train", "validation", "test", "all"), help="fold to read")
+    p.add_argument("--fold", default="test", choices=(*corpus_mod.FOLDS, "all"), help="fold to read")
     p.add_argument("--rouge-n", type=int, default=1, help="n-gram order for all ROUGE metrics")
     _add_decode_flags(p)
 
@@ -254,7 +259,7 @@ def cmd_summarize(args) -> int:
     with replace_when_done(args.output) as fh:
         for thread in threads:
             result = summarize(state, vocab, thread, cfg, provide_likes=args.provide_likes)
-            result["checkpoint"] = args.checkpoint.rsplit("/", 1)[-1]
+            result["checkpoint"] = os.path.basename(args.checkpoint)
             fh.write(json.dumps(result, ensure_ascii=False, sort_keys=True) + "\n")
     print(f"wrote {len(threads)} summaries to {args.output}")
     return 0
@@ -275,16 +280,10 @@ def cmd_evaluate(args) -> int:
         for report in reports:
             fh.write(evaluation.report_to_json(report) + "\n")
         writer = csv.writer(agg_fh)
-        writer.writerow(["variant", "xent", "recall_w", "title_rouge"])
-        writer.writerow(
-            [state.variant.id, f"{aggregates['xent']:.6f}",
-             f"{aggregates['recall_w']:.6f}", f"{aggregates['title_rouge']:.6f}"]
-        )
-    print(
-        f"evaluated {len(reports)} threads ({skipped} skipped): "
-        f"xent {aggregates['xent']:.4f}, recall_w {aggregates['recall_w']:.4f}, "
-        f"title_rouge {aggregates['title_rouge']:.4f}"
-    )
+        writer.writerow(["variant", *aggregates])
+        writer.writerow([state.variant.id, *(f"{v:.6f}" for v in aggregates.values())])
+    means = ", ".join(f"{name} {v:.4f}" for name, v in aggregates.items())
+    print(f"evaluated {len(reports)} threads ({skipped} skipped): {means}")
     return 0
 
 

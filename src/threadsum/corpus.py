@@ -28,7 +28,6 @@ class CorpusError(ValueError):
 class RawComment:
     text: str
     likes: int
-    author_hash: str = ""
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def _parse_comment(obj: dict, line_no: int) -> RawComment:
     likes = obj["likes"]
     if not isinstance(likes, int) or isinstance(likes, bool) or likes < 0:
         raise CorpusError(f"line {line_no}: likes must be non-negative")
-    return RawComment(text=str(obj["text"]), likes=likes, author_hash=str(obj.get("author_hash", "")))
+    return RawComment(text=str(obj["text"]), likes=likes)
 
 
 def _parse_thread(obj: dict, line_no: int) -> RawThread:
@@ -177,18 +176,11 @@ def partition(
         raise CorpusError(f"ratios must sum to 1, got {sum(ratios)}")
     n = len(threads)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    cut1 = round(n * ratios[0])
-    cut2 = round(n * (ratios[0] + ratios[1]))
-    fold_of = {}
-    for rank, idx in enumerate(order):
-        if rank < cut1:
-            fold_of[idx] = "train"
-        elif rank < cut2:
-            fold_of[idx] = "validation"
-        else:
-            fold_of[idx] = "test"
-    return [replace(t, fold=fold_of[i]) for i, t in enumerate(threads)]
+    rank = np.empty(n, dtype=np.int64)
+    rank[rng.permutation(n)] = np.arange(n)
+    cuts = [round(n * ratios[0]), round(n * (ratios[0] + ratios[1]))]
+    fold_index = np.searchsorted(cuts, rank, side="right")  # how many cuts each rank is at or past
+    return [replace(t, fold=FOLDS[k]) for t, k in zip(threads, fold_index.tolist())]
 
 
 def thread_to_json(thread: CleanThread) -> dict:

@@ -21,6 +21,7 @@ list-based loop that tests/test_decoding.py keeps as reference_search.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -221,7 +222,7 @@ def beam_search(params: ModelParams, enc_att: np.ndarray, cfg: DecodeConfig) -> 
         raise DecodeError("enc_att must be non-empty")
     budget = min(cfg.max_out_len, params.config.max_len - 1)
     if budget != cfg.max_out_len:
-        cfg = DecodeConfig(cfg.beam_size, cfg.block_ngram, budget, cfg.length_penalty_alpha)
+        cfg = dataclasses.replace(cfg, max_out_len=budget)
     decoder = IncrementalDecoder(params, enc_att)
     return _search(decoder.step, cfg, params.config.vocab_size, trace=None)
 

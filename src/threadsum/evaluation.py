@@ -7,9 +7,8 @@ overlap concentrates on the most-liked comments scores close to the
 entropy of the likes distribution, which is the Gibbs lower bound.
 
 Also here: likes-weighted average recall, title ROUGE, per-thread
-characterization features with their quartile report, the strict-JSON
-line format of evaluate's reports, and the centroid-similarity extractive
-baseline.
+characterization features with their quartile report, and the strict-JSON
+line format of evaluate's reports.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from threadsum.corpus import CleanThread
 from threadsum.decoding import DecodeError
 from threadsum.model import ModelError
-from threadsum.tokenizer import TokenizerError, Vocab, encode
+from threadsum.tokenizer import TokenizerError, Vocab
 
 SMOOTH_EPS = 1e-3  # Laplace mass added to both distributions before normalizing
 
@@ -228,42 +227,13 @@ def quartile_report(reports: list[EvalReport]) -> list[dict]:
         raise MetricError(f"need at least 4 reports for quartiles, got {len(reports)}")
     ordered = sorted(reports, key=lambda r: (r.xent, r.thread_id))
     rows = []
-    feature_names = (
-        "thread_length",
-        "salient_comment_length",
-        "n_comments",
-        "ld_thread",
-        "ld_salient",
-        "likes_std",
-    )
     for q, chunk in enumerate(np.array_split(np.array(ordered, dtype=object), 4), start=1):
         row = {"quartile": f"Q{q}", "n_threads": len(chunk)}
         row["xent"] = float(np.mean([r.xent for r in chunk]))
-        for name in feature_names:
-            row[name] = float(np.mean([getattr(r.features, name) for r in chunk]))
+        for f in dataclasses.fields(CharacterizationFeatures):
+            row[f.name] = float(np.mean([getattr(r.features, f.name) for r in chunk]))
         rows.append(row)
     return rows
-
-
-def centroid_baseline(thread: CleanThread, vocab: Vocab, embed: np.ndarray, k: int = 1) -> str:
-    """Extractive baseline: the k comments whose mean token embedding lies
-    closest (cosine) to the centroid of all comment embeddings, concatenated
-    in thread order."""
-    if k < 1:
-        raise MetricError("k must be >= 1")
-    if not thread.comments:
-        raise MetricError(f"thread {thread.id!r} has no comments")
-    vectors = []
-    for comment in thread.comments:
-        ids = encode(vocab, [comment.text], max_len=512).ids
-        vectors.append(embed[ids].mean(axis=0) if ids else np.zeros(embed.shape[1]))
-    vectors = np.asarray(vectors, dtype=np.float64)
-    centroid = vectors.mean(axis=0)
-    norms = np.linalg.norm(vectors, axis=1) * np.linalg.norm(centroid)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosine = np.where(norms > 0, vectors @ centroid / norms, 0.0)
-    ranked = sorted(range(len(cosine)), key=lambda i: (-cosine[i], i))[:k]
-    return " ".join(thread.comments[i].text for i in sorted(ranked))
 
 
 def _salient_indices(thread: CleanThread, n_comments: int) -> list[int]:
@@ -322,9 +292,7 @@ def evaluate_fold(state, fold: list[CleanThread], decode_config, vocab: Vocab, n
             )
         )
     aggregates = {
-        "xent": float(np.mean([r.xent for r in reports])) if reports else float("nan"),
-        "recall_w": _nanmean([r.recall_w for r in reports]),
-        "title_rouge": float(np.mean([r.title_rouge for r in reports])) if reports else float("nan"),
+        name: _nanmean([getattr(r, name) for r in reports]) for name in ("xent", "recall_w", "title_rouge")
     }
     return reports, aggregates, skipped
 

@@ -171,19 +171,21 @@ def attention_weights(thread) -> AttentionWeights:
 
 
 def token_weights(seq: TokenSeq, weights: AttentionWeights) -> np.ndarray:
-    """Per-position weight vector; separators take the preceding text's weight."""
+    """Per-position weight vector; a position in no span (a [SEP]) takes the
+    weight of the nearest spanned position before it."""
     w = np.asarray(weights.weights, dtype=np.float64)
     if seq.n_texts > len(w):
         raise ModelError(
             f"sequence spans {seq.n_texts} texts but only {len(w)} attention weights given"
         )
-    out = np.full(len(seq.ids), -1.0)
-    for start, end, source in seq.spans:
-        out[start:end] = w[source]
-    for pos in range(len(out)):
-        if out[pos] < 0:  # a [SEP], always preceded by a text token
-            out[pos] = out[pos - 1]
-    return out
+    source = np.full(len(seq.ids), -1)
+    for start, end, text in seq.spans:
+        source[start:end] = text
+    spanned = source >= 0
+    if len(source) and not spanned[0]:
+        raise ModelError("position 0 is in no span, so no text precedes it to lend its weight")
+    nearest = np.maximum.accumulate(np.where(spanned, np.arange(len(source)), 0))
+    return w[source[nearest]]
 
 
 # ---------------------------------------------------------------------------

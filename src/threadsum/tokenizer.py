@@ -14,6 +14,7 @@ region came from.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 from threadsum.checkpoint import replace_when_done
@@ -90,14 +91,11 @@ def _pair_counts(words: list[tuple[str, ...]], freqs: list[int]) -> dict[tuple[s
     return counts
 
 
-def _corpus_words(corpus, lowercase: bool) -> dict[str, int]:
-    counts: dict[str, int] = {}
+def _corpus_words(corpus, lowercase: bool) -> Counter:
+    counts = Counter()
     for thread in corpus:
         for text in [thread.title] + [c.text for c in thread.comments]:
-            if lowercase:
-                text = text.lower()
-            for word in text.split():
-                counts[word] = counts.get(word, 0) + 1
+            counts.update((text.lower() if lowercase else text).split())
     return counts
 
 

@@ -128,7 +128,6 @@ class TrainSchedule:
 
 @dataclass
 class TrainingExample:
-    thread_id: str
     input_seq: TokenSeq
     weights: AttentionWeights
     target: list[int]
@@ -215,7 +214,6 @@ def sample_target(
 
     input_seq = encode(vocab, [thread.title] + [c.text for c in thread.comments], max_len=max_len)
     return TrainingExample(
-        thread_id=thread.id,
         input_seq=input_seq,
         weights=weights,
         target=target,

@@ -338,8 +338,7 @@ class TestPipeline:
         out_dir = tmp_path / "resumed"
         code = run(
             ["train", "--in", str(clean), "--vocab", str(vocab), "--out-dir", str(out_dir),
-             "--resume", str(run_dir / "step00000020.tsck"), "--steps", "30", "--eval-every", "10",
-             "--seed", "99"]
+             "--resume", str(run_dir / "step00000020.tsck"), "--steps", "30", "--eval-every", "10"]
             + FAST_TRAIN
         )
         assert code == 0
@@ -396,8 +395,9 @@ class TestAllOrNothingOutputs:
 
 
 class TestResumeFlags:
-    """--resume keeps the checkpoint's model and variant: a flag away from
-    its default that disagrees with the checkpoint is a usage error."""
+    """--resume keeps the checkpoint's model, variant and rng: a given flag
+    that disagrees with the checkpoint, any --seed, and a --steps that is not
+    past the checkpoint's step are usage errors."""
 
     def resume(self, pipeline, tmp_path, extra):
         root, clean, vocab, run_dir = pipeline
@@ -435,6 +435,25 @@ class TestResumeFlags:
             self.resume(pipeline, tmp_path, extra)
         assert err.value.code == 2
         assert "--d-model 128" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["0", "99"])
+    def test_seed_exits_2(self, pipeline, tmp_path, capsys, seed):
+        """A resumed run continues the checkpoint's rng, so --seed, even at
+        its default, would be ignored."""
+        with pytest.raises(SystemExit) as err:
+            self.resume(pipeline, tmp_path, ["--seed", seed])
+        assert err.value.code == 2
+        assert f"--seed {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("steps", ["20", "5"])
+    def test_steps_not_past_the_checkpoint_exit_2(self, pipeline, tmp_path, capsys, steps):
+        """The checkpoint is at step 20; --steps 20 or fewer would train nothing."""
+        with pytest.raises(SystemExit) as err:
+            self.resume(pipeline, tmp_path, ["--steps", steps])
+        assert err.value.code == 2
+        assert f"--steps {steps}" in capsys.readouterr().err
+        assert not (tmp_path / "resumed").exists()
 
 
 def reject_constant(name):

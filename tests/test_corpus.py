@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,12 @@ class TestLoadCorpus:
         assert threads[0].title == "A"
         assert len(threads[0].comments) == 1
         assert threads[0].comments[0].likes == 3
+
+    def test_unknown_comment_field_is_ignored(self, tmp_path):
+        path = tmp_path / "raw.jsonl"
+        comment = {"text": "uno dos tres cuatro cinco", "likes": 2, "author_hash": "ab12"}
+        write_jsonl(path, [{"id": "t1", "title": "A", "comments": [comment]}])
+        assert load_corpus(path)[0].comments == [RawComment("uno dos tres cuatro cinco", 2)]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -203,6 +210,20 @@ class TestPartition:
         clean = self.make_clean(12)
         threads = partition(clean, (0.5, 0.25, 0.25), seed=3)
         assert [t.id for t in threads] == [t.id for t in clean]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 23])
+    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.34, 0.33, 0.33), (0.01, 0.49, 0.5)])
+    def test_matches_rank_reference(self, n, ratios):
+        """The thread at rank r of the seeded permutation goes to train below
+        the first cut, to validation below the second, to test otherwise."""
+        clean = self.make_clean(n)
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(n)
+            cut1, cut2 = round(n * ratios[0]), round(n * (ratios[0] + ratios[1]))
+            expected = [""] * n
+            for rank, idx in enumerate(order):
+                expected[idx] = "train" if rank < cut1 else "validation" if rank < cut2 else "test"
+            assert [t.fold for t in partition(clean, ratios, seed=seed)] == expected
 
 
 class _UnwritableThread:

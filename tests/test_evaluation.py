@@ -1,5 +1,5 @@
 """Metric correctness: ROUGE vs a brute-force counter, XENT properties,
-weighted recall, characterization, quartiles and the centroid baseline."""
+weighted recall, characterization and quartiles."""
 
 import math
 from collections import Counter
@@ -11,7 +11,6 @@ from threadsum.corpus import CleanComment, CleanThread
 from threadsum.evaluation import (
     MetricError,
     _ngram_overlap,
-    centroid_baseline,
     characterize,
     cross_entropy,
     evaluate_thread,
@@ -24,7 +23,6 @@ from threadsum.evaluation import (
 )
 from threadsum.evaluation import EvalReport, CharacterizationFeatures
 from threadsum.model import ModelError
-from threadsum.tokenizer import SPECIAL_TOKENS, Vocab
 
 
 def brute_force_rouge(candidate: str, reference: str, n: int):
@@ -374,48 +372,3 @@ class TestEvaluateFold:
         reports, aggregates, _ = evaluate_fold(self.FakeState(), [liked, unliked], None, None)
         assert math.isnan(reports[1].recall_w)
         assert aggregates["recall_w"] == 1.0
-
-
-class TestCentroidBaseline:
-    def embed_vocab(self):
-        """Single-letter comments map to one token each, so rows of the
-        embedding matrix are the comment vectors."""
-        alphabet = sorted({c for c in "abcd"} | {c + "</w>" for c in "abcd"})
-        vocab = Vocab(id_to_token=SPECIAL_TOKENS + tuple(alphabet))
-        embed = np.zeros((len(vocab), 2))
-        return vocab, embed
-
-    def comment_vector(self, vocab, embed, letter, vec):
-        embed[vocab.token_to_id[letter + "</w>"]] = vec
-
-    def test_single_comment(self):
-        vocab, embed = self.embed_vocab()
-        self.comment_vector(vocab, embed, "a", [1.0, 0.0])
-        thread = make_thread([("a", 1)])
-        assert centroid_baseline(thread, vocab, embed, k=1) == "a"
-
-    def test_identical_pair_beats_outlier(self):
-        vocab, embed = self.embed_vocab()
-        self.comment_vector(vocab, embed, "a", [1.0, 0.0])
-        self.comment_vector(vocab, embed, "b", [0.0, 1.0])
-        thread = make_thread([("a", 1), ("a", 1), ("b", 1)])
-        assert centroid_baseline(thread, vocab, embed, k=1) == "a"
-
-    def test_hand_computed_cosine_ranking(self):
-        vocab, embed = self.embed_vocab()
-        self.comment_vector(vocab, embed, "a", [1.0, 0.0])
-        self.comment_vector(vocab, embed, "b", [0.0, 1.0])
-        self.comment_vector(vocab, embed, "c", [0.6, 0.8])
-        thread = make_thread([("a", 1), ("a", 1), ("b", 1), ("c", 1)])
-        # centroid (0.65, 0.45); cosines: a = .822, b = .569, c = .949
-        assert centroid_baseline(thread, vocab, embed, k=2) == "a c"
-
-    def test_scale_invariance(self):
-        vocab, embed = self.embed_vocab()
-        self.comment_vector(vocab, embed, "a", [1.0, 0.0])
-        self.comment_vector(vocab, embed, "b", [0.3, 0.7])
-        self.comment_vector(vocab, embed, "c", [0.5, 0.5])
-        thread = make_thread([("a", 1), ("b", 1), ("c", 1)])
-        base = centroid_baseline(thread, vocab, embed, k=2)
-        scaled = centroid_baseline(thread, vocab, embed * 37.0, k=2)
-        assert base == scaled

@@ -25,7 +25,7 @@ from threadsum.model import (
     init_params,
     token_weights,
 )
-from threadsum.tokenizer import BOS, EOS, PAD, SEP, SPECIAL_TOKENS, TokenSeq
+from threadsum.tokenizer import BOS, EOS, PAD, SEP, SPECIAL_TOKENS, TokenSeq, Vocab, encode
 
 
 def thread_with_likes(likes):
@@ -101,6 +101,34 @@ class TestTokenWeights:
         seq = TokenSeq(ids=[5, SEP, 6], spans=[(0, 1, 0), (2, 3, 1)])
         with pytest.raises(ModelError, match="attention weights"):
             token_weights(seq, AttentionWeights(weights=np.array([1.0])))
+
+    def test_first_position_outside_every_span_rejected(self):
+        """No text precedes position 0 to lend it a weight; it must not wrap
+        around to the last position's."""
+        seq = TokenSeq(ids=[SEP, 5, 6], spans=[(1, 3, 0)])
+        with pytest.raises(ModelError, match="position 0"):
+            token_weights(seq, AttentionWeights(weights=np.array([0.5])))
+
+    def test_run_of_uncovered_positions_takes_the_text_before_it(self):
+        seq = TokenSeq(ids=[5, SEP, SEP, 6, SEP], spans=[(0, 1, 0), (3, 4, 1)])
+        w = token_weights(seq, AttentionWeights(weights=np.array([1.0, 0.25])))
+        np.testing.assert_array_equal(w, [1.0, 1.0, 1.0, 0.25, 0.25])
+
+    def test_matches_per_position_loop_on_encoded_threads(self):
+        rng = np.random.default_rng(5)
+        vocab = Vocab(id_to_token=SPECIAL_TOKENS + tuple(sorted({*"abcde"} | {c + "</w>" for c in "abcde"})))
+        for _ in range(200):
+            texts = [" ".join("".join(rng.choice(list("abcde"), size=rng.integers(1, 4)))
+                              for _ in range(rng.integers(0, 4))) for _ in range(rng.integers(1, 6))]
+            seq = encode(vocab, texts, max_len=int(rng.integers(2, 30)))
+            w = rng.random(len(texts))
+            expected = np.full(len(seq.ids), -1.0)
+            for start, end, source in seq.spans:
+                expected[start:end] = w[source]
+            for pos in range(len(expected)):
+                if expected[pos] < 0:
+                    expected[pos] = expected[pos - 1]
+            np.testing.assert_array_equal(token_weights(seq, AttentionWeights(weights=w)), expected)
 
 
 class TestEncodeThread:

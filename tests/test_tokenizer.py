@@ -1,10 +1,13 @@
 """Subword vocabulary training, encoding and decoding."""
 
+import hashlib
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadsum.corpus import CleanComment, CleanThread
+from threadsum.corpus import CleanComment, CleanThread, load_corpus, preprocess
 from threadsum.tokenizer import (
     BOS,
     EOS,
@@ -71,6 +74,15 @@ class TestTrainVocab:
     def test_vocab_size_too_small(self):
         with pytest.raises(TokenizerError, match="too small"):
             train_vocab([thread_of(["abcdef ghijkl"])], vocab_size=6)
+
+    def test_smoke_corpus_vocabulary_is_pinned(self):
+        """Word counting and merge tie-breaks decide every token; any
+        refactor of training must reproduce this vocabulary exactly."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "smoke_corpus.jsonl")
+        vocab = train_vocab(preprocess(load_corpus(path)), vocab_size=300)
+        assert (len(vocab), vocab.n_merges) == (300, 231)
+        digest = hashlib.sha256("\n".join(vocab.id_to_token).encode()).hexdigest()
+        assert digest == "4869d1432319f44c60797908c81ae4644d9cbf16ea5e33a1e7402e42d72035eb"
 
 
 class TestEncode:
