@@ -18,6 +18,9 @@ import numpy as np
 from threadsum.checkpoint import replace_when_done
 
 FOLDS = ("train", "validation", "test")
+# The largest like count a float64 holds exactly; attention_weights divides
+# like counts as float64.
+MAX_LIKES = 2**53
 
 
 class CorpusError(ValueError):
@@ -54,6 +57,10 @@ class CleanThread:
     def likes(self) -> list[int]:
         return [c.likes for c in self.comments]
 
+    @property
+    def texts(self) -> list[str]:
+        return [self.title] + [c.text for c in self.comments]
+
 
 # Cleaning rules, applied in this order.  Later rules assume earlier ones
 # already ran (e.g. punctuation collapse must not see URLs).
@@ -66,6 +73,8 @@ _MENTION = re.compile(r"@\w+")
 _LAUGHTER = re.compile(r"(?:[jh][aei]){2,}[jh]?|(?:[aei][jh]){2,}[aei]?", re.IGNORECASE)
 _PUNCT_RUN = re.compile(r"([^\w\s])\1+")
 _SPACES = re.compile(r"\s+")
+# what errors="surrogateescape" decodes a byte that is not UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def clean_text(raw: str) -> str:
@@ -91,9 +100,15 @@ def _parse_comment(obj: dict, line_no: int) -> RawComment:
     if "likes" not in obj:
         raise CorpusError(f"line {line_no}: comment missing required field 'likes'")
     likes = obj["likes"]
-    if not isinstance(likes, int) or isinstance(likes, bool) or likes < 0:
-        raise CorpusError(f"line {line_no}: likes must be non-negative")
-    return RawComment(text=str(obj["text"]), likes=likes)
+    if not isinstance(likes, int) or isinstance(likes, bool) or not 0 <= likes <= MAX_LIKES:
+        raise CorpusError(f"line {line_no}: likes must be non-negative integers of at most 2**53")
+    return RawComment(text=_string(obj, "text", line_no), likes=likes)
+
+
+def _string(obj: dict, key: str, line_no: int) -> str:
+    if not isinstance(obj[key], str):
+        raise CorpusError(f"line {line_no}: '{key}' must be a string, got {type(obj[key]).__name__}")
+    return obj[key]
 
 
 def _parse_thread(obj: dict, line_no: int) -> RawThread:
@@ -102,20 +117,23 @@ def _parse_thread(obj: dict, line_no: int) -> RawThread:
     for key in ("id", "title", "comments"):
         if key not in obj:
             raise CorpusError(f"line {line_no}: thread missing required field '{key}'")
-    if not str(obj["id"]):
+    if not _string(obj, "id", line_no):
         raise CorpusError(f"line {line_no}: thread id must be non-empty")
     if not isinstance(obj["comments"], list):
         raise CorpusError(f"line {line_no}: 'comments' must be a list")
     comments = [_parse_comment(c, line_no) for c in obj["comments"]]
-    return RawThread(id=str(obj["id"]), title=str(obj["title"]), comments=comments)
+    return RawThread(id=obj["id"], title=_string(obj, "title", line_no), comments=comments)
 
 
 def _read_threads(path):
     """Yield (line number, JSON object, RawThread) per non-blank line of a
     JSON-lines file; see load_corpus for the checks."""
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            bad = _UNDECODED.search(line)
+            if bad:
+                raise CorpusError(f"line {line_no}: byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8")
             if not line.strip():
                 continue
             try:

@@ -242,8 +242,7 @@ def summarize(
     """
     params = state.params
     variant = state.variant
-    texts = [thread.title] + [c.text for c in thread.comments]
-    seq = encode(vocab, texts, max_len=params.config.max_len)
+    seq = encode(vocab, thread.texts, max_len=params.config.max_len)
     if provide_likes:
         weights = attention_weights(thread)
     else:

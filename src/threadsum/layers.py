@@ -42,8 +42,8 @@ Each forward caches only what its backward reads:
   block's probabilities, and one (Tq, d_model) context, written block by
   block through its head-split view and read as the output projection's
   input.
-Inference needs no cache: gelu is the forward alone, and incremental
-decoding runs the FFN as linear_fwd, gelu, linear_fwd.
+Inference needs no cache: ffn_fwd(..., train=False) runs gelu, GELU's
+forward alone, and returns None for its cache.
 """
 
 from __future__ import annotations
@@ -290,8 +290,11 @@ def attention_bwd(dout, cache):
     return d_q_in, dk_in + dv_in, grads
 
 
-def ffn_fwd(x, p: dict):
+def ffn_fwd(x, p: dict, train: bool = True):
+    """The GELU FFN; unless train, the forward alone, with no cache."""
     h1, c1 = linear_fwd(x, p["W1"], p["b1"])
+    if not train:
+        return linear_fwd(gelu(h1), p["W2"], p["b2"])[0], None
     g, cg = gelu_fwd(h1)
     out, c2 = linear_fwd(g, p["W2"], p["b2"])
     return out, (c1, cg, c2)

@@ -10,16 +10,17 @@ block kind in BLOCK_LAYOUT; init_params, the training forward and backward
 passes (_block_fwd/_block_bwd under _stack_fwd/_stack_bwd) and
 IncrementalDecoder all walk that table.
 
-All forward passes also produce caches so that forward_loss can run an
-exact hand-written backward pass; gradients are validated against central
-finite differences in the test suite.  Training runs forward_loss on a
-chunk of examples: their rows are stacked, the row-wise layers see all of
-them at once, and attention is block-diagonal, so no example attends to
-another's tokens.  Its backward adds into a gradient dict the caller may
-pass, and frees each block's activations once they are consumed, so the
-chunk's memory falls as its backward runs.  IncrementalDecoder is
-inference only: it keeps the attention keys and values of beam search's
-live rows, and the search names the parent row that each new row extends.
+forward_loss's forward passes produce caches for an exact hand-written
+backward pass, checked against central finite differences in the test
+suite; at inference the FFN runs its forward alone, without GELU's
+derivative.  Training runs forward_loss on a chunk of examples: their rows
+are stacked, the row-wise layers see all of them at once, and attention is
+block-diagonal, so no example attends to another's tokens.  Its backward
+adds into a gradient dict the caller may pass, and frees each block's
+activations once they are consumed, so the chunk's memory falls as its
+backward runs.  IncrementalDecoder is inference only: it keeps the
+attention keys and values of beam search's live rows, and the search names
+the parent row that each new row extends.
 """
 
 from __future__ import annotations
@@ -228,13 +229,6 @@ def dropout_keep(config: ModelConfig, rng: np.random.Generator, n_input: int, n_
     return rng.random(dropout_draws(config, n_input, n_target)) >= config.dropout
 
 
-def _layer_keeps(per_segment):
-    """Each dropout layer's keep mask over a chunk's stacked rows, in layer
-    order, out of per-segment (n_layers, T_i, d_model) keep masks."""
-    for layer in zip(*per_segment):
-        yield np.concatenate(layer)
-
-
 def _chunk_keeps(config, rng, seqs, targets):
     """The encoder's and the decoder's keep-mask iterators for a chunk's
     dropout: each example's keep masks, drawn by dropout_keep when rng is a
@@ -252,7 +246,7 @@ def _chunk_keeps(config, rng, seqs, targets):
         n_enc = _n_dropouts(config, "enc") * n_in * d
         enc_keep.append(keep[:n_enc].reshape(-1, n_in, d))
         dec_keep.append(keep[n_enc:].reshape(-1, n_target - 1, d))
-    return _layer_keeps(enc_keep), _layer_keeps(dec_keep)
+    return iter(np.concatenate(enc_keep, axis=1)), iter(np.concatenate(dec_keep, axis=1))
 
 
 def _embed_fwd(tensors, ids, rows, ln_prefix, p_drop, keeps):
@@ -286,13 +280,13 @@ def _acc(grads, name, value):
         grads[name] = value
 
 
-def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, keeps):
+def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, keeps, train):
     tensors, n_heads = params.tensors, params.config.n_heads
     caches = []
     for sub, ln in layout:
         p = _sub(tensors, f"{pfx}.{sub}.")
         if sub == "ffn":
-            f, c_f = layers.ffn_fwd(x, p)
+            f, c_f = layers.ffn_fwd(x, p, train)
         elif sub == "self":
             f, c_f = layers.attention_fwd(x, x, p, n_heads, mask=masks["self"])
         else:
@@ -327,12 +321,12 @@ def _block_bwd(dout, caches, pfx, layout, grads):
     return dout, d_memory
 
 
-def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, keeps=None):
+def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, keeps=None, train=False):
     """Embedding plus the blocks of the encoder ("enc") or of the causal
     decoder ("dec") on a chunk: ids holds the examples' ids one after another
     and rows their row slices.  Attention stays inside an example's rows; the
     decoder's segment i cross-attends over segment i of memory, a pair of the
-    stacked encoder output and its row slices."""
+    stacked encoder output and its row slices.  train: ffn_fwd's switch."""
     x, c_emb = _embed_fwd(params.tensors, ids, rows, f"{kind}_emb_ln", p_drop, keeps)
     if kind == "dec":
         memory, memory_rows = memory
@@ -345,7 +339,7 @@ def _stack_fwd(params, kind, ids, rows, memory=None, p_drop=0.0, keeps=None):
         masks = {"self": [(r, r, None) for r in rows]}
     caches = []
     for i in range(getattr(params.config, f"n_{kind}_blocks")):
-        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], masks, memory, p_drop, keeps)
+        x, cache = _block_fwd(x, params, f"{kind}{i}", BLOCK_LAYOUT[kind], masks, memory, p_drop, keeps, train)
         caches.append(cache)
     return x, (c_emb, caches)
 
@@ -482,9 +476,8 @@ class IncrementalDecoder:
         kv = []
         for block, (k_enc, v_enc), (k_past, v_past) in zip(self.blocks, self.cross_kv, self._kv):
             for sub, p, ln in block:
-                if sub == "ffn":  # the forward alone: ffn_fwd would compute GELU's derivative
-                    h, _ = layers.linear_fwd(y, p["W1"], p["b1"])
-                    f, _ = layers.linear_fwd(layers.gelu(h), p["W2"], p["b2"])
+                if sub == "ffn":
+                    f, _ = layers.ffn_fwd(y, p, train=False)
                 elif sub == "self":
                     q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
                     k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])
@@ -591,7 +584,7 @@ def forward_loss(
     p_drop = cfg.dropout if rng is not None else 0.0
     enc_keeps, dec_keeps = _chunk_keeps(cfg, rng, seqs, targets) if p_drop > 0 else (None, None)
     enc_ids = [i for s in seqs for i in s.ids]
-    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, keeps=enc_keeps)
+    enc, enc_cache = _stack_fwd(params, "enc", enc_ids, enc_rows, p_drop=p_drop, keeps=enc_keeps, train=True)
     if disable_attention:
         enc_att = enc
         tokw = None
@@ -601,7 +594,7 @@ def forward_loss(
 
     dec_in = [i for t in targets for i in t[:-1]]
     gold = np.asarray([i for t in targets for i in t[1:]])
-    y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps)
+    y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps, train=True)
     del enc, enc_att  # freed with the decoder's cross-attention caches, which hold them
     logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
     loss, dlogits = _smoothed_kl(logits, gold, dec_rows, cfg)

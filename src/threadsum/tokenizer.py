@@ -94,7 +94,7 @@ def _pair_counts(words: list[tuple[str, ...]], freqs: list[int]) -> dict[tuple[s
 def _corpus_words(corpus, lowercase: bool) -> Counter:
     counts = Counter()
     for thread in corpus:
-        for text in [thread.title] + [c.text for c in thread.comments]:
+        for text in thread.texts:
             counts.update((text.lower() if lowercase else text).split())
     return counts
 
@@ -268,7 +268,17 @@ def save_vocab(vocab: Vocab, path) -> None:
         meta.write(f"lowercase={str(vocab.lowercase).lower()}\n")
 
 
+def _meta_int(meta: dict, key: str, default: int) -> int:
+    value = meta.get(key, str(default))
+    if not (value.isascii() and value.isdigit()):
+        raise TokenizerError(f"vocab sidecar {key}={value!r} is not a non-negative integer")
+    return int(value)
+
+
 def load_vocab(path) -> Vocab:
+    """Read a vocabulary saved by save_vocab.  A sidecar value that does not
+    parse raises TokenizerError naming its key; a missing key takes its
+    default."""
     with open(path, encoding="utf-8") as fh:
         tokens = tuple(line.rstrip("\n") for line in fh if line.rstrip("\n"))
     meta = {}
@@ -277,13 +287,12 @@ def load_vocab(path) -> Vocab:
             if "=" in line:
                 key, value = line.strip().split("=", 1)
                 meta[key] = value
-    if int(meta.get("vocab_size", len(tokens))) != len(tokens):
+    if _meta_int(meta, "vocab_size", len(tokens)) != len(tokens):
         raise TokenizerError("vocab file does not match its sidecar header")
-    return Vocab(
-        id_to_token=tokens,
-        lowercase=meta.get("lowercase", "true") == "true",
-        n_merges=int(meta.get("merges", 0)),
-    )
+    lowercase = meta.get("lowercase", "true")
+    if lowercase not in ("true", "false"):
+        raise TokenizerError(f"vocab sidecar lowercase={lowercase!r} is not true or false")
+    return Vocab(id_to_token=tokens, lowercase=lowercase == "true", n_merges=_meta_int(meta, "merges", 0))
 
 
 def vocab_hash(path) -> str:

@@ -212,7 +212,7 @@ def sample_target(
     if len(target) > max_len:
         target = target[: max_len - 1] + [EOS]
 
-    input_seq = encode(vocab, [thread.title] + [c.text for c in thread.comments], max_len=max_len)
+    input_seq = encode(vocab, thread.texts, max_len=max_len)
     return TrainingExample(
         input_seq=input_seq,
         weights=weights,

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadsum.corpus import (
+    CleanComment,
+    CleanThread,
     CorpusError,
     RawComment,
     RawThread,
@@ -18,6 +20,7 @@ from threadsum.corpus import (
     preprocess,
     save_clean,
 )
+from threadsum.model import attention_weights
 
 
 def write_jsonl(path, objs):
@@ -79,6 +82,44 @@ class TestLoadCorpus:
         )
         with pytest.raises(CorpusError, match="duplicate"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("id", 3), ("id", None), ("title", 5), ("title", ["A"]), ("text", None), ("text", 7),
+    ])
+    def test_non_string_field_names_the_line(self, tmp_path, field, value):
+        """A non-string id, title or text is refused, not turned into its str()."""
+        good = {"id": "a", "title": "A", "comments": [{"text": "uno dos tres cuatro cinco", "likes": 1}]}
+        bad = {"id": "b", "title": "B", "comments": [{"text": "seis siete ocho nueve diez", "likes": 1}]}
+        (bad["comments"][0] if field == "text" else bad)[field] = value
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [good, bad])
+        with pytest.raises(CorpusError, match=f"line 2: '{field}' must be a string"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("likes", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_likes_beyond_float64_rejected(self, tmp_path, likes):
+        """attention_weights divides likes as float64: 10**400 would overflow there."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "t1", "title": "A", "comments": [{"text": "x", "likes": %s}]}\n' % json.dumps(likes))
+        with pytest.raises(CorpusError, match="line 1: likes must be non-negative integers of at most 2\\*\\*53"):
+            load_corpus(path)
+
+    def test_largest_exact_likes_load_and_weigh(self, tmp_path):
+        path = tmp_path / "raw.jsonl"
+        write_jsonl(path, [{"id": "t1", "title": "A", "comments": [{"text": "x", "likes": 2**53}]}])
+        thread = load_corpus(path)[0]
+        assert thread.comments[0].likes == 2**53
+        clean = CleanThread(thread.id, thread.title, [CleanComment(c.text, c.likes) for c in thread.comments])
+        assert attention_weights(clean).weights.tolist() == [1.0, 1.0]
+
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"id": "a", "title": "A", "comments": []}).encode()
+        path.write_bytes(good + b"\n" + b'{"id": "b", "title": "caf\xe9", "comments": []}\n')
+        with pytest.raises(CorpusError, match="line 2: byte 0xe9 is not UTF-8"):
+            load_corpus(path)
+        with pytest.raises(CorpusError, match="line 2: byte 0xe9 is not UTF-8"):
+            load_clean(path)
 
 
 class TestCleanText:

@@ -720,3 +720,31 @@ class TestChunk:
         for bad in (keeps[:2], keeps[:2] + [keeps[2][:-1]], keeps[:2] + [keeps[2].astype(np.float64)]):
             with pytest.raises(ModelError, match="keep mask"):
                 forward_loss(params, seqs, weights, targets, rng=bad)
+
+
+class TestInferenceRunsTheForwardAlone:
+    """Inference computes no GELU derivative: with layers.gelu_fwd made to
+    raise, encode_thread, decoder_logits and IncrementalDecoder.step still
+    run, and give the outputs they give with it in place, while training
+    still reaches gelu_fwd through the layers module."""
+
+    def test_no_gelu_derivative_at_inference(self, monkeypatch):
+        params = init_params(TINY, seed=38)
+        seq, weights, target = tiny_inputs(np.random.default_rng(39))
+
+        def run():
+            enc_att = encode_thread(params, seq, weights).enc_att
+            decoder = IncrementalDecoder(params, enc_att)
+            dists = [decoder.step(np.array([target[: i + 1]]), [0]) for i in range(len(target) - 1)]
+            return enc_att, decoder_logits(params, enc_att, target[:-1]), np.concatenate(dists)
+
+        want = run()
+
+        def derivative(x):
+            raise AssertionError("GELU's derivative computed")
+
+        monkeypatch.setattr(layers, "gelu_fwd", derivative)
+        for got, expected in zip(run(), want):
+            assert got.tobytes() == expected.tobytes()
+        with pytest.raises(AssertionError, match="derivative computed"):
+            forward_loss(params, seq, weights, target)

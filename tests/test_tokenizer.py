@@ -228,3 +228,25 @@ class TestPersistence:
             fh.write("vocab_size=9999\n")
         with pytest.raises(TokenizerError):
             load_vocab(path)
+
+    @pytest.mark.parametrize("line,key", [
+        ("vocab_size=abc", "vocab_size"), ("vocab_size=-5", "vocab_size"), ("merges=x", "merges"),
+        ("merges=", "merges"), ("lowercase=maybe", "lowercase"), ("lowercase=True", "lowercase"),
+    ])
+    def test_unparsable_sidecar_value_names_its_key(self, tmp_path, line, key):
+        vocab = train_vocab([thread_of(["la casa azul"])], vocab_size=30)
+        path = tmp_path / "vocab.txt"
+        save_vocab(vocab, path)
+        meta = tmp_path / "vocab.txt.meta"
+        kept = [kept for kept in meta.read_text().splitlines() if not kept.startswith(key + "=")]
+        meta.write_text("\n".join(kept + [line]) + "\n")
+        with pytest.raises(TokenizerError, match=f"sidecar {key}="):
+            load_vocab(path)
+
+    def test_missing_sidecar_keys_take_their_defaults(self, tmp_path):
+        vocab = train_vocab([thread_of(["la casa azul"])], vocab_size=30)
+        path = tmp_path / "vocab.txt"
+        save_vocab(vocab, path)
+        (tmp_path / "vocab.txt.meta").write_text("")
+        loaded = load_vocab(path)
+        assert (loaded.id_to_token, loaded.lowercase, loaded.n_merges) == (vocab.id_to_token, True, 0)
