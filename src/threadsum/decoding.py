@@ -198,8 +198,7 @@ def _search(
         parents = rows[kept]
         ids = np.concatenate((ids[parents], tokens[kept, None]), axis=1)
         live_lp = cand_lp[kept]
-        live_rank = np.empty(len(kept), dtype=np.int64)
-        live_rank[np.argsort(id_order[kept])] = np.arange(len(kept))
+        live_rank = id_order[kept].argsort().argsort()  # id_order's values are distinct
 
         if trace is not None and finished_scores:
             trace.append(max(finished_scores))
@@ -207,7 +206,8 @@ def _search(
             break
         if len(finished_scores) >= cfg.beam_size:
             worst_kept = sorted(finished_scores, reverse=True)[cfg.beam_size - 1]
-            best_possible = max(lp / lp_max if lp < 0 else 0.0 for lp in live_lp.tolist())
+            best_lp = max(live_lp.tolist())  # dividing by lp_max > 0 keeps the order
+            best_possible = best_lp / lp_max if best_lp < 0 else 0.0
             if best_possible <= worst_kept:
                 break
     for row, lp in zip(ids.tolist(), live_lp.tolist()):  # ran out of length budget

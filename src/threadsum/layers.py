@@ -149,6 +149,9 @@ def _gelu_tiles(x, derivative: bool):
     by tile over x's rows, _TILE_BYTES of x at a time."""
     out = np.empty_like(x)
     grad = np.empty_like(x) if derivative else None
+    if x.nbytes <= _TILE_BYTES:  # one tile, x itself: a decoder step's few rows
+        _gelu_tile(x, out, grad)
+        return out, grad
     rows = max(1, _TILE_BYTES // max(1, x[:1].nbytes))
     for start in range(0, len(x), rows):
         tile = slice(start, start + rows)
@@ -219,7 +222,7 @@ def attend(q, k, v, mask=None):
     """Scaled dot-product attention over the last two axes, for any leading
     (head, row) axes: returns the probabilities softmax(q kᵀ / sqrt(d_head)
     + mask) and the context, probabilities @ v.  mask is additive or None."""
-    s = q @ np.swapaxes(k, -1, -2)
+    s = q @ k.swapaxes(-1, -2)
     s *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
         s += mask
@@ -234,13 +237,13 @@ def attend_bwd(dctx, q, k, v, probs, ctx):
     The softmax backward dS = P * (dP - D) needs each row's D_i = sum_j
     dP_ij P_ij; since dP = dctx vᵀ and ctx = P v, D_i = dctx_i . ctx_i."""
     scale = 1.0 / math.sqrt(q.shape[-1])
-    dS = dctx @ np.swapaxes(v, -1, -2)  # dP, made dS in place
-    dv = np.swapaxes(probs, -1, -2) @ dctx
+    dS = dctx @ v.swapaxes(-1, -2)  # dP, made dS in place
+    dv = probs.swapaxes(-1, -2) @ dctx
     dS -= np.add.reduce(dctx * ctx, axis=-1, keepdims=True)
     dS *= probs
     dq = dS @ k
     dq *= scale
-    dk = np.swapaxes(dS, -1, -2) @ q
+    dk = dS.swapaxes(-1, -2) @ q
     dk *= scale
     return dq, dk, dv
 

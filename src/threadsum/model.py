@@ -414,6 +414,15 @@ class IncrementalDecoder:
     self-attention keys and values and appends those of ids[i, -1], so a
     step costs one (n_live, d_model) pass whatever the length.  The
     cross-attention keys and values of the encoding are projected once.
+    Self-attention projects q, k and v with one matmul by Wq|Wk|Wv, the
+    three weights concatenated by columns once per decoder: each output
+    column is its row's dot product with one weight column, summed over
+    the same d_model inputs in the same order whatever the number of
+    columns, so the fused columns equal the three separate projections bit
+    for bit (tests/test_model.py::TestFusedSelfAttentionProjection).  A
+    block's keys and values sit in one (rows, 2, heads, length, d_head)
+    array, so a step gathers and extends both with one index and one
+    concatenate.
 
     The distributions equal decode_step's up to the float rounding of
     matmuls over fewer rows.
@@ -434,15 +443,20 @@ class IncrementalDecoder:
         self.cross_kv = []
         for i in range(cfg.n_dec_blocks):
             pfx = f"dec{i}"
-            self.blocks.append([
-                (sub, _sub(t, f"{pfx}.{sub}."), (t[f"{pfx}.{ln}_g"], t[f"{pfx}.{ln}_b"]))
-                for sub, ln in BLOCK_LAYOUT["dec"]
-            ])
+            block = []
+            for sub, ln in BLOCK_LAYOUT["dec"]:
+                p = _sub(t, f"{pfx}.{sub}.")
+                if sub == "self":  # q, k and v from one (d_model, 3 d_model) projection
+                    p["Wqkv"] = np.concatenate((p["Wq"], p["Wk"], p["Wv"]), axis=1)
+                    p["bqkv"] = np.concatenate((p["bq"], p["bk"], p["bv"]))
+                block.append((sub, p, (t[f"{pfx}.{ln}_g"], t[f"{pfx}.{ln}_b"])))
+            self.blocks.append(block)
             k, _ = layers.linear_fwd(enc_att, t[f"{pfx}.cross.Wk"], t[f"{pfx}.cross.bk"])
             v, _ = layers.linear_fwd(enc_att, t[f"{pfx}.cross.Wv"], t[f"{pfx}.cross.bv"])
             self.cross_kv.append((layers._split_heads(k, self.n_heads), layers._split_heads(v, self.n_heads)))
-        empty = np.zeros((1, self.n_heads, 0, cfg.d_model // cfg.n_heads), dtype=params.dtype)
-        self._kv = [(empty, empty)] * cfg.n_dec_blocks  # the previous step's (rows, heads, length, d_head)
+        # per block, the previous step's (rows, k|v, heads, length, d_head)
+        empty = np.zeros((1, 2, self.n_heads, 0, cfg.d_model // cfg.n_heads), dtype=params.dtype)
+        self._kv = [empty] * cfg.n_dec_blocks
 
     def step(self, ids: np.ndarray, parents) -> np.ndarray:
         """Next-token distributions after each row of ids, shape (n_live, V),
@@ -451,7 +465,7 @@ class IncrementalDecoder:
         step not at [BOS], a new id outside the vocabulary, or a parent
         outside the previous step's rows."""
         parents = np.asarray(parents)
-        n_prev, _, prev_length, _ = self._kv[0][0].shape
+        n_prev, _, _, prev_length, _ = self._kv[0].shape
         if (ids.ndim != 2 or len(ids) == 0 or ids.dtype.kind not in "iu"
                 or parents.shape != ids.shape[:1] or parents.dtype.kind not in "iu"):
             raise ModelError(f"step needs a non-empty integer id matrix and one integer parent per row, "
@@ -463,29 +477,32 @@ class IncrementalDecoder:
             raise ModelError(f"prefix of {length} ids too long for max_len {self.max_len}")
         if length == 1 and (ids[:, 0] != BOS).any():
             raise ModelError("prefix must start with [BOS]")
-        if parents.min() < 0 or parents.max() >= n_prev:
-            raise ModelError(f"parent rows must lie in [0, {n_prev}), got {parents.min()} to {parents.max()}")
+        # range checks on Python ints: for a step's handful of rows, numpy's
+        # min and max reductions cost more than the list's
+        rows = parents.tolist()
+        if min(rows) < 0 or max(rows) >= n_prev:
+            raise ModelError(f"parent rows must lie in [0, {n_prev}), got {min(rows)} to {max(rows)}")
         new = ids[:, -1]  # earlier columns were checked when they were new
-        if new.min() < 0 or new.max() >= len(self.tok_emb):
-            raise ModelError(f"ids must lie in [0, {len(self.tok_emb)}), got {new.min()} to {new.max()}")
+        new_ids = new.tolist()
+        if min(new_ids) < 0 or max(new_ids) >= len(self.tok_emb):
+            raise ModelError(f"ids must lie in [0, {len(self.tok_emb)}), got {min(new_ids)} to {max(new_ids)}")
 
         y = self.tok_emb[new] + self.pos_emb[length - 1]
         y, _ = layers.layer_norm_fwd(y, *self.emb_ln)
         d = y.shape[1]
-        heads = (n, self.n_heads, 1, d // self.n_heads)  # one new position per row
+        # the fused projection's (n, q|k|v, heads, 1, d_head): one new position per row
+        split = (n, 3, self.n_heads, 1, d // self.n_heads)
         kv = []
-        for block, (k_enc, v_enc), (k_past, v_past) in zip(self.blocks, self.cross_kv, self._kv):
+        for block, (k_enc, v_enc), kv_past in zip(self.blocks, self.cross_kv, self._kv):
             for sub, p, ln in block:
                 if sub == "ffn":
                     f, _ = layers.ffn_fwd(y, p, train=False)
                 elif sub == "self":
-                    q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
-                    k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])
-                    v, _ = layers.linear_fwd(y, p["Wv"], p["bv"])
-                    k = np.concatenate((k_past[parents], k.reshape(heads)), axis=2)
-                    v = np.concatenate((v_past[parents], v.reshape(heads)), axis=2)
-                    kv.append((k, v))
-                    _, ctx = layers.attend(q.reshape(heads), k, v)
+                    qkv, _ = layers.linear_fwd(y, p["Wqkv"], p["bqkv"])
+                    qkv = qkv.reshape(split)
+                    k_v = np.concatenate((kv_past[parents], qkv[:, 1:]), axis=3)
+                    kv.append(k_v)
+                    _, ctx = layers.attend(qkv[:, 0], k_v[:, 0], k_v[:, 1])
                     f, _ = layers.linear_fwd(ctx.reshape(n, d), p["Wo"], p["bo"])
                 else:
                     q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])

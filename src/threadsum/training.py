@@ -318,16 +318,32 @@ def save_checkpoint(state: TrainState, path, vocab_sha: str) -> None:
     write_tensors(path, header, tensors)
 
 
+# the header keys load_checkpoint reads without a default
+_HEADER_KEYS = ("config", "step", "variant", "rng_state", "vocab_sha256")
+
+
 def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
     header, tensors = read_tensors(path)
     if header.get("kind") != "threadsum-checkpoint":
         raise CheckpointError("not a threadsum checkpoint")
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise CheckpointError(f"checkpoint header has no '{key}'")
+    config = header["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError(f"checkpoint config is a {type(config).__name__}, not an object")
+    names = {field.name for field in fields(ModelConfig)}
+    unknown, absent = sorted(config.keys() - names), sorted(names - config.keys())
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown key '{unknown[0]}'")
+    if absent:  # ModelConfig would fill it with the field's default
+        raise CheckpointError(f"checkpoint config has no '{absent[0]}'")
     if expected_vocab_sha is not None and header["vocab_sha256"] != expected_vocab_sha:
         raise CheckpointError(
             "vocab hash mismatch: checkpoint was trained with a different vocabulary "
             f"({header['vocab_sha256'][:12]}... != {expected_vocab_sha[:12]}...)"
         )
-    config = ModelConfig(**header["config"])
+    config = ModelConfig(**config)
     params = {}
     adam_m = {}
     adam_v = {}

@@ -277,6 +277,80 @@ class TestIncrementalDecoder:
             decoder.step(ids, [0])
 
 
+class SeparateProjectionDecoder:
+    """IncrementalDecoder.step as it was before the fused projection, kept as
+    the reference the fused step must equal bit for bit: self-attention
+    projects q, k and v with three linear_fwd calls.  It checks nothing."""
+
+    def __init__(self, params, enc_att):
+        cfg, t = params.config, params.tensors
+        self.t, self.n_heads, self.n_blocks = t, cfg.n_heads, cfg.n_dec_blocks
+        self.cross_kv = []
+        for i in range(cfg.n_dec_blocks):
+            k, _ = layers.linear_fwd(enc_att, t[f"dec{i}.cross.Wk"], t[f"dec{i}.cross.bk"])
+            v, _ = layers.linear_fwd(enc_att, t[f"dec{i}.cross.Wv"], t[f"dec{i}.cross.bv"])
+            self.cross_kv.append((layers._split_heads(k, cfg.n_heads), layers._split_heads(v, cfg.n_heads)))
+        empty = np.zeros((1, cfg.n_heads, 0, cfg.d_model // cfg.n_heads), dtype=params.dtype)
+        self.kv = [(empty, empty)] * cfg.n_dec_blocks
+
+    def step(self, ids, parents):
+        t = self.t
+        n, length = ids.shape
+        y = t["tok_emb"][ids[:, -1]] + t["pos_emb"][length - 1]
+        y, _ = layers.layer_norm_fwd(y, t["dec_emb_ln_g"], t["dec_emb_ln_b"])
+        d = y.shape[1]
+        heads = (n, self.n_heads, 1, d // self.n_heads)
+        kv = []
+        for i, (k_enc, v_enc), (k_past, v_past) in zip(range(self.n_blocks), self.cross_kv, self.kv):
+            for sub, ln in BLOCK_LAYOUT["dec"]:
+                p = {name[len(f"dec{i}.{sub}."):]: w for name, w in t.items() if name.startswith(f"dec{i}.{sub}.")}
+                if sub == "ffn":
+                    f, _ = layers.ffn_fwd(y, p, train=False)
+                elif sub == "self":
+                    q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
+                    k, _ = layers.linear_fwd(y, p["Wk"], p["bk"])
+                    v, _ = layers.linear_fwd(y, p["Wv"], p["bv"])
+                    k = np.concatenate((k_past[parents], k.reshape(heads)), axis=2)
+                    v = np.concatenate((v_past[parents], v.reshape(heads)), axis=2)
+                    kv.append((k, v))
+                    _, ctx = layers.attend(q.reshape(heads), k, v)
+                    f, _ = layers.linear_fwd(ctx.reshape(n, d), p["Wo"], p["bo"])
+                else:
+                    q, _ = layers.linear_fwd(y, p["Wq"], p["bq"])
+                    _, ctx = layers.attend(layers._split_heads(q, self.n_heads), k_enc, v_enc)
+                    f, _ = layers.linear_fwd(layers._merge_heads(ctx), p["Wo"], p["bo"])
+                y, _ = layers.layer_norm_fwd(y + f, t[f"dec{i}.{ln}_g"], t[f"dec{i}.{ln}_b"])
+        self.kv = kv
+        logits, _ = layers.linear_fwd(y, t["lm_W"], t["lm_b"])
+        return layers.softmax(logits.astype(np.float64))
+
+
+class TestFusedSelfAttentionProjection:
+    """IncrementalDecoder.step projects q, k and v with one (d, 3d) matmul;
+    its distributions equal those of three separate projections bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_model, n_heads, n_dec_blocks", [(8, 2, 2), (48, 4, 1)])
+    def test_equals_three_separate_projections(self, dtype, d_model, n_heads, n_dec_blocks):
+        cfg = ModelConfig(**{**TINY.__dict__, "d_model": d_model, "n_heads": n_heads,
+                             "n_dec_blocks": n_dec_blocks, "d_ff": 2 * d_model})
+        params = init_params(cfg, seed=40, dtype=dtype)
+        rng = np.random.default_rng(41)
+        seq, weights, _ = tiny_inputs(rng)
+        enc_att = encode_thread(params, seq, weights).enc_att
+        fused, separate = IncrementalDecoder(params, enc_att), SeparateProjectionDecoder(params, enc_att)
+        ids, parents = np.array([[BOS]]), np.zeros(1, dtype=np.intp)
+        shared = reordered = False
+        for _ in range(cfg.max_len - 1):
+            got, want = fused.step(ids, parents), separate.step(ids, parents)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            parents = rng.integers(0, len(ids), size=int(rng.integers(1, 7)))
+            shared |= len(set(parents.tolist())) < len(parents)
+            reordered |= bool((np.diff(parents) < 0).any())
+            ids = np.concatenate((ids[parents], rng.integers(3, cfg.vocab_size, size=(len(parents), 1))), axis=1)
+        assert shared and reordered
+
+
 class TestLayerNorm:
     def test_equals_the_var_formula_bit_for_bit(self):
         """Taking the variance of the centred input repeats numpy's own var."""

@@ -329,6 +329,39 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="'w' appears twice"):
             read_tensors(path)
 
+    def test_header_and_config_key_sweep(self, small_setup, tmp_path):
+        """Each header key removed, and each config key removed or one added:
+        a key load_checkpoint needs raises CheckpointError naming it; the
+        optional counters load with their defaults."""
+        corpus, vocab, config = small_setup
+        path = tmp_path / "ck.tsck"
+        save_checkpoint(new_state(config, get_variant(1), seed=0), path, vocab_sha="x")
+        header, tensors = read_tensors(path)
+        optional = {"best_val_xent", "best_checkpoint", "last_train_loss"}
+        assert set(header) == optional | {"kind", "config", "step", "variant", "rng_state", "vocab_sha256"}
+
+        def load(edited):
+            write_tensors(path, edited, tensors)
+            return load_checkpoint(path)
+
+        for key in header:
+            edited = {k: v for k, v in header.items() if k != key}
+            if key in optional:
+                assert load(edited).step == 0
+            else:
+                message = "not a threadsum checkpoint" if key == "kind" else f"header has no '{key}'"
+                with pytest.raises(CheckpointError, match=message):
+                    load(edited)
+        for key in header["config"]:  # d_ff would load as ModelConfig's default, 512
+            edited = {**header, "config": {k: v for k, v in header["config"].items() if k != key}}
+            with pytest.raises(CheckpointError, match=f"config has no '{key}'"):
+                load(edited)
+        with pytest.raises(CheckpointError, match="config has unknown key 'd_hidden'"):
+            load({**header, "config": {**header["config"], "d_hidden": 64}})
+        with pytest.raises(CheckpointError, match="config is a list"):
+            load({**header, "config": list(header["config"])})
+        assert load(header).params.config == config
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "ck.tsck"
         tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
