@@ -1,6 +1,10 @@
 """Target sampling law, schedule, training determinism, checkpoint/resume."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -361,6 +365,58 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="config is a list"):
             load({**header, "config": list(header["config"])})
         assert load(header).params.config == config
+
+    def test_header_value_type_sweep(self, small_setup, tmp_path):
+        """Each header value, and each config value, of a wrong type or out
+        of range raises CheckpointError naming its key, never another class."""
+        corpus, vocab, config = small_setup
+        path = tmp_path / "ck.tsck"
+        state = new_state(config, get_variant(1), seed=0)
+        state.best_val_xent, state.best_checkpoint, state.last_train_loss = 2.5, "step00000003.tsck", 3.25
+        save_checkpoint(state, path, vocab_sha="x")
+        header, tensors = read_tensors(path)
+        rng_state = header["rng_state"]
+        pcg = rng_state["state"]
+        wrong = {
+            "step": ["5", 5.9, True, -3, None, [5]],
+            "variant": ["7", 7.5, True, 0, 9, None],
+            "vocab_sha256": [5, None, ["x"], {}],
+            "rng_state": [
+                5, "x", None, [], {}, {**rng_state, "bit_generator": "MT19937"},
+                {**rng_state, "state": "x"}, {**rng_state, "state": {**pcg, "state": "x"}},
+                {k: v for k, v in rng_state.items() if k != "state"}, {**rng_state, "has_uint32": "x"},
+                {**rng_state, "state": {**pcg, "state": -1}}, {**rng_state, "state": {**pcg, "inc": 2**200}},
+                {**rng_state, "state": {**pcg, "state": 1.5}}, {**rng_state, "extra": 1},
+            ],
+            "best_val_xent": ["x", [1], True, {}],
+            "best_checkpoint": [5, None, ["x"], True],
+            "last_train_loss": ["x", [1], False, {}],
+        }
+        wrong_config = {
+            "d_model": ["16", 16.0, True, None, 0],
+            "vocab_size": [[64], 64.5, 1],
+            "dropout": ["0.1", None, True, 1.5],
+            "label_smoothing": [[0.0], -0.1],
+        }
+
+        def load(edited):
+            write_tensors(path, edited, tensors)
+            return load_checkpoint(path)
+
+        for key, values in wrong.items():
+            for value in values:
+                with pytest.raises(CheckpointError, match=f"'{key}'"):
+                    load({**header, key: value})
+        for key, values in wrong_config.items():
+            for value in values:
+                with pytest.raises(CheckpointError, match=key):
+                    load({**header, "config": {**header["config"], key: value}})
+        back = load({**header, "best_val_xent": 2, "config": {**header["config"], "dropout": 0}})
+        assert (back.step, back.variant.id, back.best_val_xent, back.best_checkpoint, back.last_train_loss) == (
+            0, 1, 2.0, "step00000003.tsck", 3.25,
+        )
+        assert back.params.config == config
+        assert back.rng.bit_generator.state == rng_state
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "ck.tsck"
@@ -838,3 +894,47 @@ class TestInitialStateMustMatch:
             train(corpus, vocab, get_variant(7), other, OptimizerConfig(batch_size=2),
                   TrainSchedule(1, 0), initial_state=state)
         assert state.step == 0
+
+
+FAULTS_PER_STEP = """
+import resource
+from test_training import directional_setup
+from threadsum.training import OptimizerConfig, TrainSchedule, get_variant, new_state, train
+
+corpus, vocab, config = directional_setup()
+opt = OptimizerConfig(lr_peak=1e-3, warmup_steps=200, batch_size=8)
+variant = get_variant(7)
+state = new_state(config, variant, seed=0)
+
+def steps(n):  # one train() call per step, as the benchmark makes them
+    for _ in range(n):
+        train(corpus, vocab, variant, config, opt, TrainSchedule(state.step + 1, 0), initial_state=state)
+
+steps(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps(20)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def has_glibc_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+class TestTrainingMemory:
+    @pytest.mark.skipif(not has_glibc_mallopt(), reason="the C library has no mallopt")
+    def test_a_step_does_not_fault_its_memory_back_in(self):
+        """train() keeps the memory a step frees mapped for the next step.
+        Under glibc's dynamic thresholds a directional step takes about
+        1,000 minor page faults; run in a fresh process, so that no earlier
+        test has set the allocator already."""
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+        run = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_STEP], env=env, capture_output=True, text=True, check=True
+        )
+        faults = float(run.stdout.split()[-1])
+        assert faults < 64, f"{faults} minor page faults per training step"
