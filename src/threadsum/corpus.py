@@ -188,7 +188,7 @@ def partition(
     to within one thread.  Output preserves input order, only the fold field
     changes.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or any(not r > 0 for r in ratios):  # not r > 0 also holds for a NaN
         raise CorpusError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise CorpusError(f"ratios must sum to 1, got {sum(ratios)}")

@@ -70,8 +70,8 @@ class DecodeConfig:
             raise DecodeError("block_ngram must be 0 (disabled) or >= 2")
         if self.max_out_len < 1:
             raise DecodeError("max_out_len must be >= 1")
-        if self.length_penalty_alpha < 0:
-            raise DecodeError("length_penalty_alpha must be >= 0")
+        if not 0 <= self.length_penalty_alpha < np.inf:  # a NaN fails both comparisons
+            raise DecodeError(f"length_penalty_alpha must be finite and >= 0, got {self.length_penalty_alpha}")
 
 
 def length_penalty(n_generated: int, alpha: float) -> float:

@@ -6,9 +6,11 @@ text it came from: 1 for the title, sqrt(likes / max likes) for a comment.
 The decoder cross-attends over this scaled encoding.
 
 Every block is a sequence of post-LN residual sublayers, listed once per
-block kind in BLOCK_LAYOUT; init_params, the training forward and backward
+block kind in BLOCK_LAYOUT; param_layout, the training forward and backward
 passes (_block_fwd/_block_bwd under _stack_fwd/_stack_bwd) and
-IncrementalDecoder all walk that table.
+IncrementalDecoder all walk that table.  param_layout names every tensor
+with its shape and initializer: init_params allocates from it and
+training.load_checkpoint checks a file against it.
 
 forward_loss's forward passes produce caches for an exact hand-written
 backward pass, checked against central finite differences in the test
@@ -72,9 +74,6 @@ class ModelParams:
     config: ModelConfig
     tensors: dict[str, np.ndarray]
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
     @property
     def dtype(self):
         return self.tensors["tok_emb"].dtype
@@ -108,53 +107,36 @@ BLOCK_LAYOUT = {
 }
 
 
-def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
-    """Initialize all tensors: normal(0, 0.02) projections, ones/zeros norms."""
-    rng = np.random.default_rng(seed)
-    d, ff, V, L = config.d_model, config.d_ff, config.vocab_size, config.max_len
-
-    tensors: dict[str, np.ndarray] = {}
-
-    def w(name, shape):
-        tensors[name] = rng.normal(0.0, 0.02, shape).astype(dtype)
-
-    def zeros(name, shape):
-        tensors[name] = np.zeros(shape, dtype=dtype)
-
-    def ones(name, shape):
-        tensors[name] = np.ones(shape, dtype=dtype)
-
-    w("tok_emb", (V, d))
-    w("pos_emb", (L, d))
-    ones("enc_emb_ln_g", d)
-    zeros("enc_emb_ln_b", d)
-    ones("dec_emb_ln_g", d)
-    zeros("dec_emb_ln_b", d)
-
-    def attention(prefix):
-        for proj in ("Wq", "Wk", "Wv", "Wo"):
-            w(f"{prefix}.{proj}", (d, d))
-        for bias in ("bq", "bk", "bv", "bo"):
-            zeros(f"{prefix}.{bias}", d)
-
-    def ffn(prefix):
-        w(f"{prefix}.W1", (d, ff))
-        zeros(f"{prefix}.b1", ff)
-        w(f"{prefix}.W2", (ff, d))
-        zeros(f"{prefix}.b2", d)
-
-    def norm(name):
-        ones(f"{name}_g", d)
-        zeros(f"{name}_b", d)
-
+def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every tensor's name -> (shape, initializer) in the order init_params
+    draws them, without allocating.  The initializer is "normal" (drawn from
+    normal(0, 0.02)), "zeros" or "ones".  load_checkpoint reads a file
+    through this table."""
+    d, ff, V = config.d_model, config.d_ff, config.vocab_size
+    attention = [(f"W{p}", (d, d), "normal") for p in "qkvo"] + [(f"b{p}", (d,), "zeros") for p in "qkvo"]
+    ffn = [("W1", (d, ff), "normal"), ("b1", (ff,), "zeros"), ("W2", (ff, d), "normal"), ("b2", (d,), "zeros")]
+    norm = [("_g", (d,), "ones"), ("_b", (d,), "zeros")]
+    entries = [("tok_emb", (V, d), "normal"), ("pos_emb", (config.max_len, d), "normal")]
+    entries += [(f"{kind}_emb_ln{end}", shape, init) for kind in BLOCK_LAYOUT for end, shape, init in norm]
     for kind, layout in BLOCK_LAYOUT.items():
         for i in range(getattr(config, f"n_{kind}_blocks")):
             for sub, ln in layout:
-                (ffn if sub == "ffn" else attention)(f"{kind}{i}.{sub}")
-                norm(f"{kind}{i}.{ln}")
-    w("lm_W", (d, V))
-    zeros("lm_b", V)
-    return ModelParams(config=config, tensors=tensors)
+                sublayer = ffn if sub == "ffn" else attention
+                entries += [(f"{kind}{i}.{sub}.{name}", shape, init) for name, shape, init in sublayer]
+                entries += [(f"{kind}{i}.{ln}{end}", shape, init) for end, shape, init in norm]
+    entries += [("lm_W", (d, V), "normal"), ("lm_b", (V,), "zeros")]
+    return {name: (shape, init) for name, shape, init in entries}
+
+
+def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
+    """Allocate param_layout's tensors in its order, each "normal" one drawn
+    in turn from one generator."""
+    rng = np.random.default_rng(seed)
+    constant = {"zeros": np.zeros, "ones": np.ones}
+    return ModelParams(config=config, tensors={
+        name: rng.normal(0.0, 0.02, shape).astype(dtype) if init == "normal" else constant[init](shape, dtype=dtype)
+        for name, (shape, init) in param_layout(config).items()
+    })
 
 
 def attention_weights(thread) -> AttentionWeights:
@@ -385,7 +367,7 @@ def decoder_logits(params: ModelParams, enc_att: np.ndarray, prefix: list[int]) 
     prefix = list(prefix)
     memory = (enc_att, _row_slices([len(enc_att)]))
     y, _ = _stack_fwd(params, "dec", prefix, _row_slices([len(prefix)]), memory)
-    logits, _ = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
+    logits, _ = layers.linear_fwd(y, params.tensors["lm_W"], params.tensors["lm_b"])
     return logits
 
 
@@ -613,12 +595,12 @@ def forward_loss(
     gold = np.asarray([i for t in targets for i in t[1:]])
     y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps, train=True)
     del enc, enc_att  # freed with the decoder's cross-attention caches, which hold them
-    logits, c_lm = layers.linear_fwd(y, params["lm_W"], params["lm_b"])
+    logits, c_lm = layers.linear_fwd(y, params.tensors["lm_W"], params.tensors["lm_b"])
     loss, dlogits = _smoothed_kl(logits, gold, dec_rows, cfg)
     del y, logits
 
     grads = {} if grads is None else grads
-    emb = {name: np.zeros_like(params[name]) for name in ("tok_emb", "pos_emb")}
+    emb = {name: np.zeros_like(params.tensors[name]) for name in ("tok_emb", "pos_emb")}
     dy, d_lm_W, d_lm_b = layers.linear_bwd(dlogits, c_lm)
     del dlogits, c_lm
     _acc(grads, "lm_W", d_lm_W)

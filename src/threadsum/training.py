@@ -50,6 +50,7 @@ from threadsum.model import (
     dropout_keep,
     forward_loss,
     init_params,
+    param_layout,
 )
 from threadsum.tokenizer import BOS, EOS, SEP, TokenSeq, Vocab, encode
 
@@ -127,7 +128,12 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class TrainSchedule:
     max_steps: int
-    eval_every: int = 2000
+    eval_every: int = 2000  # 0 writes no checkpoint
+
+    def __post_init__(self):
+        for name in ("max_steps", "eval_every"):
+            if getattr(self, name) < 0:
+                raise TrainingError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -302,6 +308,9 @@ def new_state(config: ModelConfig, variant: TaskVariant, seed: int) -> TrainStat
     )
 
 
+_TENSOR_PREFIXES = ("", "adam.m.", "adam.v.")  # a checkpoint names each parameter, then its Adam moments
+
+
 def save_checkpoint(state: TrainState, path, vocab_sha: str) -> None:
     header = {
         "kind": "threadsum-checkpoint",
@@ -314,11 +323,8 @@ def save_checkpoint(state: TrainState, path, vocab_sha: str) -> None:
         "last_train_loss": None if math.isnan(state.last_train_loss) else state.last_train_loss,
         "vocab_sha256": vocab_sha,
     }
-    tensors = dict(state.params.tensors)
-    for name, m in state.adam_m.items():
-        tensors[f"adam.m.{name}"] = m
-    for name, v in state.adam_v.items():
-        tensors[f"adam.v.{name}"] = v
+    groups = (state.params.tensors, state.adam_m, state.adam_v)
+    tensors = {prefix + name: t for prefix, group in zip(_TENSOR_PREFIXES, groups) for name, t in group.items()}
     write_tensors(path, header, tensors)
 
 
@@ -393,16 +399,26 @@ def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
             "vocab hash mismatch: checkpoint was trained with a different vocabulary "
             f"({vocab_sha[:12]}... != {expected_vocab_sha[:12]}...)"
         )
-    params = {}
-    adam_m = {}
-    adam_v = {}
-    for name, tensor in tensors.items():
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = tensor
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = tensor
-        else:
-            params[name] = tensor
+    # each parameter and its moments by name, in param_layout's order: the first tensor missing,
+    # misshapen, not in tok_emb's float dtype or not finite is refused, then any left over
+    dtype = tensors["tok_emb"].dtype if "tok_emb" in tensors else None
+    groups = {prefix: {} for prefix in _TENSOR_PREFIXES}
+    for name, (shape, _) in param_layout(config).items():
+        for prefix, group in groups.items():
+            key = prefix + name
+            tensor = tensors.pop(key, None)
+            if tensor is None:
+                raise CheckpointError(f"checkpoint has no tensor '{key}'")
+            if tensor.shape != shape:
+                raise CheckpointError(f"checkpoint tensor '{key}' has shape {tensor.shape}, not {shape}")
+            if tensor.dtype != dtype or dtype.kind != "f":
+                raise CheckpointError(f"checkpoint tensor '{key}' is {tensor.dtype}; all must share tok_emb's float dtype")
+            if not np.isfinite(tensor).all():
+                raise CheckpointError(f"checkpoint tensor '{key}' holds a non-finite value")
+            group[name] = tensor
+    if tensors:
+        raise CheckpointError(f"checkpoint tensor '{next(iter(tensors))}' is not in the model's layout")
+    params, adam_m, adam_v = groups.values()
     return TrainState(
         params=ModelParams(config=config, tensors=params),
         adam_m=adam_m,

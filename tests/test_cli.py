@@ -49,6 +49,11 @@ class TestPreprocess:
         err = capsys.readouterr().err.strip()
         assert json.loads(err)["error"]
 
+    def test_nan_ratio_exit_1(self, tmp_path, capsys):
+        code = run(["preprocess", "--in", DATA, "--out", str(tmp_path / "x.jsonl"), "--ratios", "nan,0.5,0.5"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"].startswith("CorpusError:")
+
     @pytest.mark.parametrize("ratios", ["a,b,c", "0.5,0.5"])
     def test_unparsable_ratios_exit_2(self, tmp_path, capsys, ratios):
         with pytest.raises(SystemExit) as err:
@@ -242,6 +247,20 @@ class TestTrainFold:
         )
         assert code == 0
         assert (run_dir / "step00000002.tsck").exists()
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--eval-every"])
+def test_negative_schedule_flag_exits_1(tmp_path, capsys, flag):
+    """A negative --steps or --eval-every trains nothing and writes nothing."""
+    clean, vocab, run_dir = tmp_path / "clean.jsonl", tmp_path / "vocab.txt", tmp_path / "run"
+    assert run(["preprocess", "--in", DATA, "--out", str(clean), "--seed", "1"]) == 0
+    assert run(["build-vocab", "--in", str(clean), "--out", str(vocab), "--vocab-size", "300"]) == 0
+    capsys.readouterr()
+    code = run(["train", "--in", str(clean), "--vocab", str(vocab), "--out-dir", str(run_dir), flag, "-1"] + FAST_TRAIN)
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error.startswith("TrainingError:") and flag[2:].replace("-", "_") in error
+    assert not run_dir.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Corpus loading, cleaning and partitioning."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -238,6 +239,11 @@ class TestPartition:
     def test_bad_ratios(self):
         with pytest.raises(CorpusError):
             partition(self.make_clean(4), (0.5, 0.5, 0.5), seed=1)
+
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan)])
+    def test_nan_ratio_rejected(self, ratios):
+        with pytest.raises(CorpusError, match="three positive numbers"):
+            partition(self.make_clean(4), ratios, seed=1)
 
     def test_folds_cover_and_are_disjoint(self):
         threads = partition(self.make_clean(23), (0.6, 0.2, 0.2), seed=7)

@@ -183,6 +183,12 @@ class TestBeamEngine:
         with pytest.raises(DecodeError):
             DecodeConfig(block_ngram=1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])
+    def test_length_penalty_alpha_must_be_finite_and_non_negative(self, alpha):
+        """A NaN alpha would rank every hypothesis by a NaN score."""
+        with pytest.raises(DecodeError, match="length_penalty_alpha"):
+            DecodeConfig(length_penalty_alpha=alpha)
+
 
 class TestBadDistributions:
     """A step whose output is not one distribution per live prefix fails

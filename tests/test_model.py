@@ -23,6 +23,7 @@ from threadsum.model import (
     encode_thread,
     forward_loss,
     init_params,
+    param_layout,
     token_weights,
 )
 from threadsum.tokenizer import BOS, EOS, PAD, SEP, SPECIAL_TOKENS, TokenSeq, Vocab, encode
@@ -551,6 +552,32 @@ class TestDeterminism:
             ModelConfig(vocab_size=10, d_model=10, n_heads=4)
         with pytest.raises(ModelError, match="label_smoothing"):
             ModelConfig(vocab_size=10, label_smoothing=1.0)
+
+
+class TestParamLayout:
+    """param_layout states what init_params allocates: the same names in the
+    same order, the same shapes, and each tensor filled as its initializer
+    says, the "normal" ones drawn in layout order from the seed's generator."""
+
+    @pytest.mark.parametrize("config", [
+        TINY,
+        ModelConfig(vocab_size=300),
+        ModelConfig(vocab_size=37, d_model=12, n_enc_blocks=2, n_dec_blocks=3, n_heads=3, d_ff=20, max_len=9),
+    ], ids=["tiny", "default", "uneven"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_allocates_the_layout(self, config, dtype):
+        layout = param_layout(config)
+        tensors = init_params(config, seed=5, dtype=dtype).tensors
+        assert list(tensors) == list(layout)
+        rng = np.random.default_rng(5)
+        for name, (shape, init) in layout.items():
+            assert tensors[name].shape == shape and tensors[name].dtype == dtype, name
+            expected = {
+                "normal": lambda: rng.normal(0.0, 0.02, shape).astype(dtype),
+                "zeros": lambda: np.zeros(shape, dtype),
+                "ones": lambda: np.ones(shape, dtype),
+            }[init]()
+            np.testing.assert_array_equal(tensors[name], expected, err_msg=name)
 
 
 def _arrays(item):

@@ -12,7 +12,9 @@ import pytest
 from threadsum.checkpoint import CheckpointError, read_tensors, write_tensors
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum import layers, training
-from threadsum.model import ModelConfig, NumericsError, attention_weights, dropout_keep, forward_loss
+from threadsum.model import (
+    ModelConfig, NumericsError, attention_weights, dropout_keep, forward_loss, param_layout,
+)
 from threadsum.tokenizer import BOS, EOS, SEP, save_vocab, train_vocab, vocab_hash
 from threadsum.training import (
     CHUNK_TOKENS,
@@ -429,6 +431,58 @@ class TestCheckpointRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["ck.tsck"]
 
 
+class TestCheckpointTensorSweep:
+    """Every tensor of a tiny checkpoint, parameter or Adam moment, removed,
+    reshaped, cut short, cast to the other float dtype or given a NaN, and
+    one unknown tensor added: each file raises CheckpointError naming that
+    tensor, and never another class."""
+
+    CONFIG = ModelConfig(
+        vocab_size=12, d_model=4, n_enc_blocks=1, n_dec_blocks=1, n_heads=2, d_ff=6, max_len=8,
+    )
+
+    def edits(self, tensor):
+        nan = tensor.copy()
+        nan.flat[-1] = np.nan
+        return {
+            "removed": None,
+            "reshaped": tensor[None],
+            "short": tensor[:-1],
+            "cast": tensor.astype(np.float64),
+            "nan": nan,
+        }
+
+    def test_each_tensor_edited(self, tmp_path):
+        path = tmp_path / "ck.tsck"
+        save_checkpoint(new_state(self.CONFIG, get_variant(1), seed=0), path, vocab_sha="x")
+        header, tensors = read_tensors(path)
+        assert len(tensors) == 3 * len(param_layout(self.CONFIG))
+
+        def load(edited):
+            write_tensors(path, header, edited)
+            return load_checkpoint(path)
+
+        assert list(load(tensors).params.tensors) == list(param_layout(self.CONFIG))
+        messages = {
+            "removed": "has no tensor '{}'", "reshaped": "'{}' has shape", "short": "'{}' has shape",
+            "cast": "'{}' is float64", "nan": "'{}' holds a non-finite value",
+        }
+        for name, tensor in tensors.items():
+            for case, changed in self.edits(tensor).items():
+                edited = {**tensors, name: changed} if changed is not None else {
+                    k: v for k, v in tensors.items() if k != name
+                }
+                # tok_emb sets the dtype, so with it cast the first tensor left in float32 is named
+                named = "adam.m.tok_emb' is float32" if (name, case) == ("tok_emb", "cast") else messages[case].format(name)
+                with pytest.raises(CheckpointError) as err:
+                    load(edited)
+                assert named in str(err.value), (name, case, str(err.value))
+        with pytest.raises(CheckpointError, match="'dec0.self.Wz' is not in the model's layout"):
+            load({**tensors, "dec0.self.Wz": tensors["dec0.self.Wq"]})
+        with pytest.raises(CheckpointError, match="'tok_emb' is int64"):
+            load({**tensors, "tok_emb": tensors["tok_emb"].astype(np.int64)})
+
+
 class TestResume:
     def test_resume_matches_uninterrupted_run(self, small_setup, tmp_path):
         corpus, vocab, config = small_setup
@@ -473,6 +527,21 @@ class TestOptimizerConfigValidation:
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(TrainingError, match=field):
             OptimizerConfig(**{field: value})
+
+
+class TestTrainScheduleValidation:
+    @pytest.mark.parametrize("field", ["max_steps", "eval_every"])
+    def test_negative_field_rejected(self, field):
+        with pytest.raises(TrainingError, match=field):
+            TrainSchedule(**{"max_steps": 5, field: -1})
+
+    def test_zero_keeps_its_meaning(self, small_setup, tmp_path):
+        """max_steps 0 trains nothing; eval_every 0 writes no checkpoint."""
+        corpus, vocab, config = small_setup
+        opt = OptimizerConfig(batch_size=1)
+        assert train(corpus, vocab, get_variant(1), config, opt, TrainSchedule(0, 0), out_dir=str(tmp_path)).step == 0
+        assert train(corpus, vocab, get_variant(1), config, opt, TrainSchedule(1, 0), out_dir=str(tmp_path)).step == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradientCheckedOncePerStep:
