@@ -100,24 +100,33 @@ def rouge_tokens(text: str) -> list[str]:
     return _NON_WORD.sub(" ", text.lower()).split()
 
 
-def _ngram_overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
-    """Clipped multiset n-gram overlap between two token lists.
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    """The multiset of a token list's n-grams."""
+    if n < 1:
+        raise MetricError("n-gram order must be >= 1")
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _ngram_overlap(cand_grams: Counter, ref_grams: Counter) -> tuple[int, int, int]:
+    """Clipped multiset overlap between two n-gram counts.
 
     Returns (overlap, candidate n-gram count, reference n-gram count).
     """
-    cand_grams, ref_grams = (Counter(zip(*(tokens[i:] for i in range(n)))) for tokens in (cand, ref))
     return (cand_grams & ref_grams).total(), cand_grams.total(), ref_grams.total()
 
 
-def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
-    """Clipped n-gram overlap scores; an empty side zeroes the affected score."""
-    if n < 1:
-        raise MetricError("n-gram order must be >= 1")
-    overlap, n_cand, n_ref = _ngram_overlap(rouge_tokens(candidate), rouge_tokens(reference), n)
+def _rouge(cand_grams: Counter, reference: str, n: int) -> RougeScore:
+    """rouge_n of a candidate whose n-grams are already counted."""
+    overlap, n_cand, n_ref = _ngram_overlap(cand_grams, _ngrams(rouge_tokens(reference), n))
     recall = overlap / n_ref if n_ref else 0.0
     precision = overlap / n_cand if n_cand else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return RougeScore(recall=recall, precision=precision, f1=f1, n=n)
+
+
+def rouge_n(candidate: str, reference: str, n: int = 1) -> RougeScore:
+    """Clipped n-gram overlap scores; an empty side zeroes the affected score."""
+    return _rouge(_ngrams(rouge_tokens(candidate), n), reference, n)
 
 
 def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -131,8 +140,10 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
 
 
 def _comment_recalls(summary: str, thread: CleanThread, n: int) -> np.ndarray:
-    """ROUGE-n recall of the summary against each comment, in thread order."""
-    return np.array([rouge_n(summary, c.text, n).recall for c in thread.comments])
+    """ROUGE-n recall of the summary against each comment, in thread order;
+    the summary's n-grams are counted once."""
+    summary_grams = _ngrams(rouge_tokens(summary), n)
+    return np.array([_rouge(summary_grams, c.text, n).recall for c in thread.comments])
 
 
 def _xent(recalls: np.ndarray, thread: CleanThread):

@@ -14,6 +14,7 @@ region came from.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ class Vocab:
     n_merges: int = 0
     token_to_id: dict = field(default_factory=dict, compare=False, repr=False)
     _word_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _text_cache: dict = field(default_factory=dict, compare=False, repr=False)  # text -> _text_ids(text)
 
     def __post_init__(self):
         self.token_to_id.clear()
@@ -145,11 +147,11 @@ def train_vocab(corpus, vocab_size: int, min_freq: int = 1, lowercase: bool = Tr
     return Vocab(id_to_token=tuple(tokens), lowercase=lowercase, n_merges=n_merges)
 
 
-def _encode_word(vocab: Vocab, word: str) -> list[int]:
+def _encode_word(vocab: Vocab, word: str) -> tuple[int, ...]:
     """Longest-match-first subword split of one word."""
     cached = vocab._word_cache.get(word)
     if cached is not None:
-        return list(cached)
+        return cached
     ids = []
     pos = 0
     while pos < len(word):
@@ -168,31 +170,57 @@ def _encode_word(vocab: Vocab, word: str) -> list[int]:
         else:
             ids.append(match[0])
             pos = match[1]
-    vocab._word_cache[word] = tuple(ids)
-    return ids
+    vocab._word_cache[word] = cached = tuple(ids)
+    return cached
 
 
-def _truncate(pieces: list[list[int]], max_len: int) -> list[list[int]]:
+def _text_ids(vocab: Vocab, text: str) -> tuple[int, ...]:
+    """One text's ids before truncation, memoized in the vocabulary."""
+    cached = vocab._text_cache.get(text)
+    if cached is None:
+        words = (text.lower() if vocab.lowercase else text).split()
+        vocab._text_cache[text] = cached = tuple(itertools.chain.from_iterable(_encode_word(vocab, w) for w in words))
+    return cached
+
+
+def _truncate(pieces: list, max_len: int) -> list:
     """Trim token pieces to fit max_len including separators.
 
     Comments lose tokens round robin starting from the last comment; the
-    title is only cut once every comment is exhausted.
+    title is only cut once every comment is exhausted.  Returns the pieces
+    cut to their kept lengths.  Linear time: the rounds that leave the total
+    above max_len are counted from the comments' lengths, and only the last
+    round is walked comment by comment.
     """
-
-    def total() -> int:
-        nonempty = sum(1 for p in pieces if p)
-        return sum(len(p) for p in pieces) + max(nonempty - 1, 0)
-
-    comment_idx = list(range(len(pieces) - 1, 0, -1))
-    while total() > max_len and any(pieces[i] for i in comment_idx):
-        for i in comment_idx:
-            if pieces[i]:
-                pieces[i].pop()
-            if total() <= max_len:
-                break
-    if total() > max_len:
-        pieces[0] = pieces[0][:max_len]
-    return pieces
+    lengths = [len(p) for p in pieces]
+    over = sum(lengths) + max(sum(1 for n in lengths if n) - 1, 0) - max_len  # ids and separators beyond max_len
+    if over <= 0:
+        return pieces
+    # a pop takes an id, and the separator of a comment it empties; that
+    # counts one separator too many for the pop that empties the last
+    # piece, which leaves nothing beyond max_len either way
+    comments = range(len(pieces) - 1, 0, -1)
+    by_length = Counter(lengths[i] for i in comments)
+    active = sum(1 for i in comments if lengths[i])  # the comments a round shortens
+    rounds = 0
+    while active:
+        removed = active + by_length[rounds + 1]  # a whole round's ids and separators
+        if removed >= over:
+            break
+        over -= removed
+        active -= by_length[rounds + 1]
+        rounds += 1
+    lengths[1:] = [max(n - rounds, 0) for n in lengths[1:]]
+    if active:  # the round that fits, up to the pop that fits
+        for i in comments:
+            if lengths[i]:
+                lengths[i] -= 1
+                over -= 1 if lengths[i] else 2
+                if over <= 0:
+                    break
+    if over > 0:  # every comment is exhausted
+        lengths[0] = max_len
+    return [p[:n] for p, n in zip(pieces, lengths)]
 
 
 def encode(vocab: Vocab, texts: list[str], max_len: int = 512) -> TokenSeq:
@@ -205,15 +233,7 @@ def encode(vocab: Vocab, texts: list[str], max_len: int = 512) -> TokenSeq:
         raise TokenizerError("encode requires at least one text")
     if max_len < 2:
         raise TokenizerError("max_len must be >= 2")
-    pieces = []
-    for text in texts:
-        if vocab.lowercase:
-            text = text.lower()
-        piece: list[int] = []
-        for word in text.split():
-            piece.extend(_encode_word(vocab, word))
-        pieces.append(piece)
-    pieces = _truncate(pieces, max_len)
+    pieces = _truncate([_text_ids(vocab, text) for text in texts], max_len)
 
     ids: list[int] = []
     spans: list[tuple[int, int, int]] = []

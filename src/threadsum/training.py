@@ -12,9 +12,9 @@ A step samples its examples one at a time and packs consecutive ones into
 chunks of at most CHUNK_TOKENS input-plus-target tokens (an example above
 the budget gets a chunk of its own).  Each chunk is one forward_loss call
 that adds its gradients into the step's one gradient dict, so no chunk
-holds a second full gradient set; the step scales that dict by 1/batch,
-and _adam_update clips it in place and uses it as scratch.  The result is
-bit for bit that of summing per-chunk dicts.
+holds a second full gradient set; the step scales that dict by 1/batch.
+The result is bit for bit that of summing per-chunk dicts.  Adam then
+updates flat buffers of the parameters and moments (_adam_update).
 
 Right after sampling an example the step draws all of that example's
 dropout keep masks with one rng.random(n) >= dropout (model.dropout_keep).
@@ -28,16 +28,20 @@ entry.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
+import itertools
 import math
 import json
+import operator
 import os
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from threadsum import layers
 from threadsum.checkpoint import CheckpointError, read_tensors, write_tensors
 from threadsum.corpus import CleanThread
 from threadsum.model import (
@@ -155,6 +159,8 @@ class TrainState:
     best_val_xent: float = math.inf
     best_checkpoint: str = ""
     last_train_loss: float = math.nan
+    # the views of the flat buffers (_flat_buffers) that params, adam_m and adam_v held when they were made
+    flat_views: tuple = field(default=(), repr=False, compare=False)
 
 
 def learning_rate(step: int, opt: OptimizerConfig) -> float:
@@ -165,28 +171,54 @@ def learning_rate(step: int, opt: OptimizerConfig) -> float:
     return opt.lr_peak * min(step / warmup, math.sqrt(warmup / step))
 
 
+def _float64_sum(values: list[float]) -> float:
+    """np.add.reduce of a float64 array of the values, in Python floats:
+    one running sum below 8 values, numpy's 8-lane pairwise sum above."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n > 128:  # numpy splits at half the length, rounded down to a multiple of 8
+        half = n // 2 - n // 2 % 8
+        return _float64_sum(values[:half]) + _float64_sum(values[half:])
+    lanes = values[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            lanes[j] += values[i + j]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for x in values[tail:]:
+        total += x
+    return total
+
+
 def sample_comment_indices(comment_weights: np.ndarray, n_comments: int, rng) -> list[int]:
     """Weighted sampling without replacement over comment indices (0-based).
 
     Draws proportionally to the weights while any positive-weight comment
     remains, then uniformly over the zero-weight rest.  Returns indices in
     thread order.
+
+    Each draw is the one rng.choice(len(pool), p=probs) makes, computed in
+    Python floats: the float64 sums, cumulative sum and divisions numpy
+    would do, in numpy's order, and a bisection for its searchsorted.
     """
     n = len(comment_weights)
     if n == 0:
         raise TrainingError("cannot sample from a thread with no comments")
-    take = min(n_comments, n)
+    weights = np.asarray(comment_weights, dtype=np.float64).tolist()
     pool = list(range(n))
     chosen: list[int] = []
-    for _ in range(take):
-        w = np.asarray([comment_weights[i] for i in pool], dtype=np.float64)
-        total = w.sum()
-        probs = w / total if total > 0 else np.full(len(pool), 1.0 / len(pool))
-        probs = probs / probs.sum()
-        # the draw rng.choice(len(pool), p=probs) makes, without its per-call checks
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        pick = int(np.searchsorted(cdf, rng.random(), side="right"))
+    for _ in range(min(n_comments, n)):
+        w = [weights[i] for i in pool]
+        total = _float64_sum(w)
+        probs = [x / total for x in w] if total > 0 else [1.0 / len(pool)] * len(pool)
+        norm = _float64_sum(probs)
+        cdf = list(itertools.accumulate(p / norm for p in probs))
+        last = cdf[-1]
+        pick = bisect.bisect_right([c / last for c in cdf], rng.random())
         chosen.append(pool.pop(pick))
     return sorted(chosen)
 
@@ -248,48 +280,96 @@ def token_chunks(items, n_tokens):
         yield chunk
 
 
+@functools.cache
+def _flat_slices(config: ModelConfig) -> dict[str, slice]:
+    """Each tensor's slice of a flat buffer that holds param_layout's
+    tensors in its order."""
+    slices, end = {}, 0
+    for name, (shape, _) in param_layout(config).items():
+        slices[name] = slice(end, end + math.prod(shape))
+        end = slices[name].stop
+    return slices
+
+
+def _flat_buffers(state: TrainState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat buffers of state's parameters and Adam moments, of which
+    every tensor of state.params.tensors, adam_m and adam_v is a view.
+
+    Made by new_state, and made again by the first step whose state's
+    tensors are not the views made then: after copy.deepcopy (whose copies
+    are views of nothing) or load_checkpoint, or once a tensor is replaced.
+    Making them copies each group into a new buffer and puts views of it in
+    its dict, one group at a time, so the old tensors are freed group by
+    group.  The state keeps only the views, so a deep copy of it copies
+    each tensor once."""
+    groups = (state.params.tensors, state.adam_m, state.adam_v)
+    buffers = tuple(views[0].base for views in state.flat_views)
+    if len(buffers) == len(groups) and all(
+        buffer is not None and len(group) == len(views) and all(map(operator.is_, group.values(), views))
+        and all(view.base is buffer for view in views)
+        for group, buffer, views in zip(groups, buffers, state.flat_views)
+    ):
+        return buffers
+    slices = _flat_slices(state.params.config)
+    buffers = []
+    for group in groups:
+        buffer = np.concatenate([group[name].reshape(-1) for name in slices])
+        for name, part in slices.items():
+            group[name] = buffer[part].reshape(group[name].shape)
+        buffers.append(buffer)
+    state.flat_views = tuple(tuple(group.values()) for group in groups)
+    return tuple(buffers)
+
+
 def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig) -> None:
     """One Adam step on the clipped gradient.  A non-finite gradient norm
     raises NumericsError before any parameter or moment changes.
 
-    Consumes grads: clipping scales its arrays in place, and each one is
-    then the scratch space of its tensor's update.  Every expression keeps
-    the operation order of the plain form, m += (1 - b1) g, v += (1 - b2) g g,
+    Works on the flat buffers of _flat_buffers: the step's gradients are
+    copied into one more flat buffer, which clipping scales in place and
+    the update then uses as scratch, a tile of layers._TILE_BYTES at a time
+    so that a tile's five arrays stay in cache.  The norm sums each tensor's
+    float64 squares with one np.add.reduce, adding the sums in grads' order.
+    Every expression keeps the operation order of the plain form,
+    m += (1 - b1) g, v += (1 - b2) g g,
     tensor -= lr (m / bias1) / (sqrt(v / bias2) + eps), with moments of the
     parameters' dtype, so the result is the plain form's bit for bit."""
+    slices = _flat_slices(state.params.config)
+    g = np.concatenate([grads[name].reshape(-1) for name in slices])
     sq = 0.0
-    for g in grads.values():
-        sq += float(np.sum(g.astype(np.float64) ** 2))
+    for name in grads:
+        sq += float(np.add.reduce(np.square(g[slices[name]], dtype=np.float64)))
     norm = math.sqrt(sq)
     if not math.isfinite(norm):
-        bad = next((k for k, g in grads.items() if not np.all(np.isfinite(g))), None)
+        bad = next((k for k, grad in grads.items() if not np.all(np.isfinite(grad))), None)
         raise NumericsError(f"non-finite gradient in tensor '{bad}'" if bad else "gradient norm overflows")
     if 0 < opt.clip_norm < norm:
-        scale = opt.clip_norm / norm
-        for g in grads.values():
-            g *= scale
+        g *= opt.clip_norm / norm
+    params, m, v = _flat_buffers(state)
     t = state.step
     lr = learning_rate(t, opt)
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in state.params.tensors.items():
-        g = grads[name]
-        m = state.adam_m[name]
-        v = state.adam_v[name]
-        m *= ADAM_BETA1
-        v *= ADAM_BETA2
-        tmp = (1.0 - ADAM_BETA2) * g
-        tmp *= g
-        v += tmp
-        g *= 1.0 - ADAM_BETA1
-        m += g
-        np.divide(v, bias2, out=tmp)
+    tile = max(1, layers._TILE_BYTES // g.itemsize)
+    scratch = np.empty(min(tile, len(g)), dtype=g.dtype)
+    for start in range(0, len(g), tile):
+        part = slice(start, start + tile)
+        p_t, m_t, v_t, g_t = params[part], m[part], v[part], g[part]
+        tmp = scratch[: len(g_t)]
+        m_t *= ADAM_BETA1
+        v_t *= ADAM_BETA2
+        np.multiply(g_t, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g_t
+        v_t += tmp
+        g_t *= 1.0 - ADAM_BETA1
+        m_t += g_t
+        np.divide(v_t, bias2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
-        np.divide(m, bias1, out=g)
-        g /= tmp
-        g *= lr
-        tensor -= g
+        np.divide(m_t, bias1, out=g_t)
+        g_t /= tmp
+        g_t *= lr
+        p_t -= g_t
 
 
 def _zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -298,7 +378,7 @@ def _zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
 
 def new_state(config: ModelConfig, variant: TaskVariant, seed: int) -> TrainState:
     params = init_params(config, seed=seed)
-    return TrainState(
+    state = TrainState(
         params=params,
         adam_m=_zeros_like_params(params),
         adam_v=_zeros_like_params(params),
@@ -306,6 +386,8 @@ def new_state(config: ModelConfig, variant: TaskVariant, seed: int) -> TrainStat
         rng=np.random.default_rng(seed),
         variant=variant,
     )
+    _flat_buffers(state)
+    return state
 
 
 _TENSOR_PREFIXES = ("", "adam.m.", "adam.v.")  # a checkpoint names each parameter, then its Adam moments

@@ -11,6 +11,7 @@ from threadsum.corpus import CleanComment, CleanThread
 from threadsum.evaluation import (
     MetricError,
     _ngram_overlap,
+    _ngrams,
     characterize,
     cross_entropy,
     evaluate_thread,
@@ -51,9 +52,9 @@ def make_thread(comment_likes, thread_id="t"):
 
 class TestNgramOverlap:
     def test_reference_values(self):
-        assert _ngram_overlap(list("abcab"), list("abd"), 2) == (1, 4, 2)
-        assert _ngram_overlap([], ["a"], 1) == (0, 0, 1)
-        assert _ngram_overlap(["a"], ["a"], 2) == (0, 0, 0)
+        assert _ngram_overlap(_ngrams(list("abcab"), 2), _ngrams(list("abd"), 2)) == (1, 4, 2)
+        assert _ngram_overlap(_ngrams([], 1), _ngrams(["a"], 1)) == (0, 0, 1)
+        assert _ngram_overlap(_ngrams(["a"], 2), _ngrams(["a"], 2)) == (0, 0, 0)
 
 
 class TestRougeN:
@@ -187,6 +188,26 @@ class TestWeightedRecall:
             assert report.rouge_dist == rouge_dist.tolist()
             assert report.recall_w == rw
             assert report.title_rouge == title_rouge(summary, thread.title)
+
+
+class TestSummaryCountedOnce:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scores_equal_rouge_n_per_text(self, n):
+        """evaluate_thread counts the summary's n-grams once for all its
+        comments; every recall is still rouge_n's against that comment, bit
+        for bit, and the title's rouge_n's against the full summary."""
+        rng = np.random.default_rng(9)
+        words = ["la", "casa", "azul", "Casa,", "cielo", "sol!", "luna", "mar"]
+        for _ in range(100):
+            thread = make_thread([
+                (" ".join(rng.choice(words, size=int(rng.integers(0, 12)))), int(rng.integers(0, 9)))
+                for _ in range(int(rng.integers(1, 8)))
+            ])
+            summary = " ".join(rng.choice(words, size=int(rng.integers(0, 15))))
+            full = "some title | " + summary
+            report = evaluate_thread(summary, full, thread, n=n)
+            assert report.per_comment_rouge == [rouge_n(summary, c.text, n).recall for c in thread.comments]
+            assert report.title_rouge == rouge_n(full, thread.title, n).recall
 
 
 class TestTitleRouge:

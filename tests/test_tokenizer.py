@@ -1,5 +1,6 @@
 """Subword vocabulary training, encoding and decoding."""
 
+import copy
 import hashlib
 import os
 
@@ -17,6 +18,7 @@ from threadsum.tokenizer import (
     UNK,
     TokenizerError,
     Vocab,
+    _truncate,
     decode,
     encode,
     load_vocab,
@@ -146,6 +148,55 @@ class TestEncode:
         assert all(0 <= i < len(vocab) for i in seq.ids)
         sources = [s[2] for s in seq.spans]
         assert sources == sorted(sources)
+
+
+def reference_truncate(pieces, max_len):
+    """tokenizer._truncate before it was linear, kept verbatim: one pop per
+    round-robin turn, and the total recounted after every pop."""
+
+    def total() -> int:
+        nonempty = sum(1 for p in pieces if p)
+        return sum(len(p) for p in pieces) + max(nonempty - 1, 0)
+
+    comment_idx = list(range(len(pieces) - 1, 0, -1))
+    while total() > max_len and any(pieces[i] for i in comment_idx):
+        for i in comment_idx:
+            if pieces[i]:
+                pieces[i].pop()
+            if total() <= max_len:
+                break
+    if total() > max_len:
+        pieces[0] = pieces[0][:max_len]
+    return pieces
+
+
+def bundled_corpus(name):
+    return preprocess(load_corpus(os.path.join(os.path.dirname(__file__), os.pardir, "data", name)))
+
+
+class TestTruncateLinear:
+    @given(
+        st.lists(st.lists(st.integers(5, 99), max_size=40), max_size=60),
+        st.integers(2, 600),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_round_robin_loop(self, pieces, max_len):
+        want = reference_truncate(copy.deepcopy(pieces), max_len)
+        assert [list(p) for p in _truncate([tuple(p) for p in pieces], max_len)] == want
+
+    @pytest.mark.parametrize("corpus", ["smoke_corpus.jsonl", "toy_corpus.jsonl"])
+    def test_a_warm_memo_encodes_as_a_fresh_vocabulary(self, corpus):
+        """Each text's ids are memoized untruncated: encoding through a
+        vocabulary that has seen every text, at any max_len, equals encoding
+        through a new one."""
+        threads = bundled_corpus(corpus)
+        vocab = train_vocab(threads, vocab_size=300)
+        for thread in threads:
+            encode(vocab, thread.texts, max_len=16)
+        for max_len in (16, 128, 512):
+            for thread in threads:
+                fresh = Vocab(vocab.id_to_token, lowercase=vocab.lowercase, n_merges=vocab.n_merges)
+                assert encode(vocab, thread.texts, max_len=max_len) == encode(fresh, thread.texts, max_len=max_len)
 
 
 class TestDecode:

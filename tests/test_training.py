@@ -1,5 +1,6 @@
 """Target sampling law, schedule, training determinism, checkpoint/resume."""
 
+import copy
 import ctypes
 import math
 import os
@@ -190,6 +191,57 @@ class TestSamplingDraw:
             weights = gen.random(n) * (gen.random(n) < 0.7)
             assert sample_comment_indices(weights, 3, ours) == reference_sample_comment_indices(weights, 3, theirs)
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def numpy_sample_comment_indices(comment_weights, n_comments, rng):
+    """sample_comment_indices before it drew in Python floats, kept
+    verbatim: the float64 arrays, cumulative sum and searchsorted of the
+    draw rng.choice makes."""
+    n = len(comment_weights)
+    take = min(n_comments, n)
+    pool = list(range(n))
+    chosen = []
+    for _ in range(take):
+        w = np.asarray([comment_weights[i] for i in pool], dtype=np.float64)
+        total = w.sum()
+        probs = w / total if total > 0 else np.full(len(pool), 1.0 / len(pool))
+        probs = probs / probs.sum()
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        pick = int(np.searchsorted(cdf, rng.random(), side="right"))
+        chosen.append(pool.pop(pick))
+    return sorted(chosen)
+
+
+class TestSamplingInPythonFloats:
+    @pytest.mark.parametrize("kind", ["zero", "equal", "random"])
+    def test_equals_the_numpy_draw(self, kind):
+        """Pools of 1 to 64 comments, 1 to 3 draws, 20 rng streams each:
+        the same picks, and the rng left in the same state."""
+        gen = np.random.default_rng(71)
+        for n in range(1, 65):
+            for n_comments in (1, 2, 3):
+                for _ in range(20):
+                    if kind == "zero":
+                        weights = np.zeros(n)
+                    elif kind == "equal":
+                        weights = np.full(n, gen.random())
+                    else:
+                        weights = gen.random(n) * (gen.random(n) < 0.8)
+                    seed = int(gen.integers(1 << 32))
+                    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert (sample_comment_indices(weights, n_comments, ours)
+                            == numpy_sample_comment_indices(weights, n_comments, theirs)), (kind, n, weights)
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_float64_sum_is_numpys(self):
+        """Sequential below 8 values, 8-lane pairwise above, split in halves
+        above 128: np.add.reduce's float64 sum for 1 to 399 values of
+        mixed magnitude."""
+        gen = np.random.default_rng(72)
+        for n in range(1, 400):
+            for values in (gen.random(n), gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)):
+                assert training._float64_sum(values.tolist()) == float(np.add.reduce(values)), n
 
 
 class TestSampleTarget:
@@ -801,6 +853,98 @@ class TestOneGradientBuffer:
                 for name, tensor in want.items():
                     assert got[name].dtype == tensor.dtype == np.float32
                     assert got[name].tobytes() == tensor.tobytes(), f"step {step} {kind} {name}"
+
+
+def assert_same_state(got, want, what):
+    assert got.rng.bit_generator.state == want.rng.bit_generator.state, what
+    assert got.last_train_loss == want.last_train_loss, what
+    for kind, a, b in (
+        ("params", got.params.tensors, want.params.tensors), ("adam_m", got.adam_m, want.adam_m),
+        ("adam_v", got.adam_v, want.adam_v),
+    ):
+        assert list(a) == list(b)
+        for name, tensor in b.items():
+            assert a[name].tobytes() == tensor.tobytes(), f"{what} {kind} {name}"
+
+
+class TestFlatAdam:
+    """_adam_update keeps parameters and moments in flat buffers whose views
+    the state's dicts hold, and makes them again for a state whose tensors
+    are not those views."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        corpus, vocab, config = directional_setup()
+        opt = OptimizerConfig(lr_peak=1e-3, warmup_steps=200, batch_size=8, clip_norm=0.5)
+        return corpus, vocab, config, opt, get_variant(7)
+
+    @staticmethod
+    def trained(setup, n_steps):
+        corpus, vocab, config, opt, variant = setup
+        state = new_state(config, variant, seed=41)
+        train(corpus, vocab, variant, config, opt, TrainSchedule(n_steps, 0), initial_state=state)
+        return state
+
+    @staticmethod
+    def one_buffer_per_group(state):
+        for group in (state.params.tensors, state.adam_m, state.adam_v):
+            bases = {id(t.base) for t in group.values()}
+            assert len(bases) == 1 and next(iter(group.values())).base is not None
+
+    @pytest.mark.parametrize("made_by", ["deepcopy", "load_checkpoint", "replaced_tensor"])
+    def test_a_state_without_the_views_steps_as_the_reference(self, setup, tmp_path, made_by):
+        """Three steps from a copied, a loaded and a patched state equal
+        reference_summed_step's, bit for bit, and leave the state's tensors
+        views of one buffer per group again."""
+        corpus, vocab, config, opt, variant = setup
+        start = self.trained(setup, 2)
+        reference = copy.deepcopy(start)
+        if made_by == "deepcopy":
+            state = copy.deepcopy(start)
+        elif made_by == "load_checkpoint":
+            save_checkpoint(start, tmp_path / "mid.tsck", "")
+            state = load_checkpoint(tmp_path / "mid.tsck")
+        else:
+            state = start
+            state.params.tensors["lm_b"] = state.params.tensors["lm_b"] + 0
+            state.adam_v["dec0.ffn.W1"] = state.adam_v["dec0.ffn.W1"].copy()
+        for step in range(3, 6):
+            train(corpus, vocab, variant, config, opt, TrainSchedule(step, 0), initial_state=state)
+            reference_summed_step(reference, corpus, vocab, variant, config, opt)
+            assert_same_state(state, reference, f"{made_by} step {step}")
+            self.one_buffer_per_group(state)
+
+    def test_checkpoint_equals_the_reference_paths(self, setup, tmp_path):
+        corpus, vocab, config, opt, variant = setup
+        flat = self.trained(setup, 4)
+        reference = new_state(config, variant, seed=41)
+        for _ in range(4):
+            reference_summed_step(reference, corpus, vocab, variant, config, opt)
+        save_checkpoint(flat, tmp_path / "flat.tsck", "")
+        save_checkpoint(reference, tmp_path / "reference.tsck", "")
+        assert (tmp_path / "flat.tsck").read_bytes() == (tmp_path / "reference.tsck").read_bytes()
+
+    def test_nan_gradient_changes_nothing_on_a_copied_state(self, setup, monkeypatch):
+        """The norm is checked before the buffers are made again: the
+        state keeps its tensors, and their values."""
+        corpus, vocab, config, opt, variant = setup
+        state = copy.deepcopy(self.trained(setup, 2))
+        before = [dict(group) for group in (state.params.tensors, state.adam_m, state.adam_v)]
+        values = [{k: v.copy() for k, v in group.items()} for group in before]
+        real = training.forward_loss
+
+        def nan_gradient(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            grads["enc0.ffn.b2"][3] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "forward_loss", nan_gradient)
+        with pytest.raises(TrainingDiverged, match="enc0.ffn.b2"):
+            train(corpus, vocab, variant, config, opt, TrainSchedule(3, 0), initial_state=state)
+        for group, held, value in zip((state.params.tensors, state.adam_m, state.adam_v), before, values):
+            for name, tensor in held.items():
+                assert group[name] is tensor
+                np.testing.assert_array_equal(tensor, value[name])
 
 
 # The layers before they cached only what their backward reads, kept
