@@ -15,7 +15,8 @@ IncrementalDecoder, which advances every row by one position from cached
 keys and values; beam_search_fn calls an arbitrary per-prefix
 distribution function once per row.  blocked_pairs finds the blocked
 tokens of all rows at once; blocked_tokens, its per-hypothesis reference,
-is kept for the tests.  Rankings, ties included, equal those of the
+is kept for the tests and for perfbench, whose TRACEPOINTS wrap it
+(tests/test_benchmark_hooks.py guards that it exists).  Rankings, ties included, equal those of the
 list-based loop that tests/test_decoding.py keeps as reference_search.
 """
 
@@ -28,7 +29,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from threadsum.corpus import CleanThread
-from threadsum.model import (  # decode_step: the full-prefix reference, importable from here
+# decode_step, the full-prefix reference, is imported for the tests and for perfbench's TRACEPOINTS, which wrap
+# it here (tests/test_benchmark_hooks.py guards that)
+from threadsum.model import (
     AttentionWeights,
     IncrementalDecoder,
     ModelParams,

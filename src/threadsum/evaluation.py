@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import re
+import typing
 from collections import Counter
 from dataclasses import dataclass
 
@@ -75,18 +76,47 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(row, ensure_ascii=False, sort_keys=True, allow_nan=False)
 
 
+def _is_finite_number(value) -> bool:
+    # a JSON true or false loads as a bool, and json reads NaN and Infinity, which report_to_json never writes
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# each field type of a report, its check and its name in an error
+_FIELD_CHECKS = {
+    str: (lambda v: type(v) is str, "a string"),
+    int: (lambda v: type(v) is int, "an int"),
+    float: (_is_finite_number, "a finite number"),
+    list[float]: (lambda v: type(v) is list and all(map(_is_finite_number, v)), "a list of finite numbers"),
+    CharacterizationFeatures: (lambda v: type(v) is dict, "an object"),
+}
+_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (EvalReport, CharacterizationFeatures)}
+
+
+def _typed_fields(row, cls) -> dict:
+    """row, refused unless it is an object whose every field of cls holds a
+    value of that field's type (a missing or unknown field is left to cls);
+    recall_w may also be null."""
+    if type(row) is not dict:
+        raise MetricError(f"{cls.__name__} is a {type(row).__name__}, not an object")
+    for name, hint in _FIELD_TYPES[cls].items():
+        ok, expected = _FIELD_CHECKS[hint]
+        if name in row and not ok(row[name]) and not (name == "recall_w" and row[name] is None):
+            raise MetricError(f"field '{name}' must be {expected}, got {row[name]!r}")
+    return row
+
+
 def load_reports(path) -> list[EvalReport]:
     """Read report_to_json lines back, a null recall_w as nan.  Blank lines
-    are skipped; a malformed line raises MetricError carrying its 1-based
-    line number."""
+    are skipped; a malformed line, or a field of the wrong type, raises
+    MetricError carrying its 1-based line number."""
     reports = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
-                row["features"] = CharacterizationFeatures(**row["features"])
+                row = _typed_fields(json.loads(line), EvalReport)
+                row["features"] = CharacterizationFeatures(**_typed_fields(row["features"], CharacterizationFeatures))
                 if row["recall_w"] is None:
                     row["recall_w"] = math.nan
                 reports.append(EvalReport(**row))

@@ -13,8 +13,13 @@ chunks of at most CHUNK_TOKENS input-plus-target tokens (an example above
 the budget gets a chunk of its own).  Each chunk is one forward_loss call
 that adds its gradients into the step's one gradient dict, so no chunk
 holds a second full gradient set; the step scales that dict by 1/batch.
-The result is bit for bit that of summing per-chunk dicts.  Adam then
-updates flat buffers of the parameters and moments (_adam_update).
+The result is bit for bit that of summing per-chunk dicts.
+
+A TrainState owns its parameters and Adam moments as one (3, n) array,
+buffers, a row each in param_layout's order.  Its params.tensors, adam_m
+and adam_v are read-only mappings of views of those rows, made once, so a
+tensor changes in place but no entry is ever re-bound.  Adam updates the
+rows as whole arrays (_adam_update); a deep copy copies the one array.
 
 Right after sampling an example the step draws all of that example's
 dropout keep masks with one rng.random(n) >= dropout (model.dropout_keep).
@@ -29,15 +34,16 @@ entry.
 from __future__ import annotations
 
 import bisect
+import copy
 import ctypes
 import functools
 import itertools
 import math
 import json
-import operator
 import os
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -148,19 +154,35 @@ class TrainingExample:
     sampled_comment_indices: list[int]
 
 
+# a checkpoint names each parameter, then its Adam moments; a state's buffers hold them in rows in this order
+_TENSOR_PREFIXES = ("", "adam.m.", "adam.v.")
+
+
 @dataclass
 class TrainState:
-    params: ModelParams
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    config: ModelConfig
+    buffers: np.ndarray  # (3, n): parameters, first and second moments, each row in param_layout's order
     step: int
     rng: np.random.Generator
     variant: TaskVariant
     best_val_xent: float = math.inf
     best_checkpoint: str = ""
     last_train_loss: float = math.nan
-    # the views of the flat buffers (_flat_buffers) that params, adam_m and adam_v held when they were made
-    flat_views: tuple = field(default=(), repr=False, compare=False)
+    # read-only mappings of views of the rows, made once by __post_init__
+    params: ModelParams = field(init=False, repr=False, compare=False)
+    adam_m: MappingProxyType[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    adam_v: MappingProxyType[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        layout, slices = param_layout(self.config), _flat_slices(self.config)
+        params, self.adam_m, self.adam_v = (
+            MappingProxyType({name: row[slices[name]].reshape(shape) for name, (shape, _) in layout.items()})
+            for row in self.buffers
+        )
+        self.params = ModelParams(self.config, params)
+
+    def __deepcopy__(self, memo):
+        return replace(self, buffers=self.buffers.copy(), rng=copy.deepcopy(self.rng, memo))
 
 
 def learning_rate(step: int, opt: OptimizerConfig) -> float:
@@ -291,42 +313,16 @@ def _flat_slices(config: ModelConfig) -> dict[str, slice]:
     return slices
 
 
-def _flat_buffers(state: TrainState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat buffers of state's parameters and Adam moments, of which
-    every tensor of state.params.tensors, adam_m and adam_v is a view.
-
-    Made by new_state, and made again by the first step whose state's
-    tensors are not the views made then: after copy.deepcopy (whose copies
-    are views of nothing) or load_checkpoint, or once a tensor is replaced.
-    Making them copies each group into a new buffer and puts views of it in
-    its dict, one group at a time, so the old tensors are freed group by
-    group.  The state keeps only the views, so a deep copy of it copies
-    each tensor once."""
-    groups = (state.params.tensors, state.adam_m, state.adam_v)
-    buffers = tuple(views[0].base for views in state.flat_views)
-    if len(buffers) == len(groups) and all(
-        buffer is not None and len(group) == len(views) and all(map(operator.is_, group.values(), views))
-        and all(view.base is buffer for view in views)
-        for group, buffer, views in zip(groups, buffers, state.flat_views)
-    ):
-        return buffers
-    slices = _flat_slices(state.params.config)
-    buffers = []
-    for group in groups:
-        buffer = np.concatenate([group[name].reshape(-1) for name in slices])
-        for name, part in slices.items():
-            group[name] = buffer[part].reshape(group[name].shape)
-        buffers.append(buffer)
-    state.flat_views = tuple(tuple(group.values()) for group in groups)
-    return tuple(buffers)
+def _flat_size(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape, _ in param_layout(config).values())
 
 
 def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig) -> None:
     """One Adam step on the clipped gradient.  A non-finite gradient norm
     raises NumericsError before any parameter or moment changes.
 
-    Works on the flat buffers of _flat_buffers: the step's gradients are
-    copied into one more flat buffer, which clipping scales in place and
+    Works on the rows of state.buffers: the step's gradients are copied
+    into one more flat buffer, which clipping scales in place and
     the update then uses as scratch, a tile of layers._TILE_BYTES at a time
     so that a tile's five arrays stay in cache.  The norm sums each tensor's
     float64 squares with one np.add.reduce, adding the sums in grads' order.
@@ -345,7 +341,7 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: Optimizer
         raise NumericsError(f"non-finite gradient in tensor '{bad}'" if bad else "gradient norm overflows")
     if 0 < opt.clip_norm < norm:
         g *= opt.clip_norm / norm
-    params, m, v = _flat_buffers(state)
+    params, m, v = state.buffers
     t = state.step
     lr = learning_rate(t, opt)
     bias1 = 1.0 - ADAM_BETA1**t
@@ -372,31 +368,18 @@ def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: Optimizer
         p_t -= g_t
 
 
-def _zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
-
-
 def new_state(config: ModelConfig, variant: TaskVariant, seed: int) -> TrainState:
+    """Parameters from init_params(config, seed), zero moments, step 0."""
     params = init_params(config, seed=seed)
-    state = TrainState(
-        params=params,
-        adam_m=_zeros_like_params(params),
-        adam_v=_zeros_like_params(params),
-        step=0,
-        rng=np.random.default_rng(seed),
-        variant=variant,
-    )
-    _flat_buffers(state)
-    return state
-
-
-_TENSOR_PREFIXES = ("", "adam.m.", "adam.v.")  # a checkpoint names each parameter, then its Adam moments
+    buffers = np.zeros((len(_TENSOR_PREFIXES), _flat_size(config)), dtype=params.dtype)
+    np.concatenate([tensor.reshape(-1) for tensor in params.tensors.values()], out=buffers[0])
+    return TrainState(config=config, buffers=buffers, step=0, rng=np.random.default_rng(seed), variant=variant)
 
 
 def save_checkpoint(state: TrainState, path, vocab_sha: str) -> None:
     header = {
         "kind": "threadsum-checkpoint",
-        "config": asdict(state.params.config),
+        "config": asdict(state.config),
         "variant": state.variant.id,
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
@@ -420,6 +403,10 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return type(value) in (int, float)
+
+
+def _is_finite_or_null(value) -> bool:
+    return value is None or (_is_number(value) and math.isfinite(value))
 
 
 def _header_value(header: dict, key: str, ok, expected: str, default=None):
@@ -463,6 +450,8 @@ def _checkpoint_rng(state) -> np.random.Generator:
 
 def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
     header, tensors = read_tensors(path)
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header is a {type(header).__name__}, not an object")
     if header.get("kind") != "threadsum-checkpoint":
         raise CheckpointError("not a threadsum checkpoint")
     for key in _HEADER_KEYS:
@@ -472,9 +461,9 @@ def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
     step = _header_value(header, "step", lambda v: _is_int(v) and v >= 0, "an int >= 0")
     variant = _header_value(header, "variant", lambda v: _is_int(v) and v in VARIANTS, "a variant id 1..8")
     vocab_sha = _header_value(header, "vocab_sha256", lambda v: isinstance(v, str), "a string")
-    best = _header_value(header, "best_val_xent", lambda v: v is None or _is_number(v), "a number or null")
+    best = _header_value(header, "best_val_xent", _is_finite_or_null, "a finite number or null")
     best_checkpoint = _header_value(header, "best_checkpoint", lambda v: isinstance(v, str), "a string", default="")
-    last = _header_value(header, "last_train_loss", lambda v: v is None or _is_number(v), "a number or null")
+    last = _header_value(header, "last_train_loss", _is_finite_or_null, "a finite number or null")
     rng = _checkpoint_rng(header["rng_state"])
     if expected_vocab_sha is not None and vocab_sha != expected_vocab_sha:
         raise CheckpointError(
@@ -482,11 +471,14 @@ def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
             f"({vocab_sha[:12]}... != {expected_vocab_sha[:12]}...)"
         )
     # each parameter and its moments by name, in param_layout's order: the first tensor missing,
-    # misshapen, not in tok_emb's float dtype or not finite is refused, then any left over
+    # misshapen, not in tok_emb's float dtype or not finite is refused, then any left over.  Each
+    # is copied into its slice of its row, and every slice is written; tok_emb comes first, so a
+    # refused dtype writes nothing
     dtype = tensors["tok_emb"].dtype if "tok_emb" in tensors else None
-    groups = {prefix: {} for prefix in _TENSOR_PREFIXES}
+    buffers = np.empty((len(_TENSOR_PREFIXES), _flat_size(config)), dtype=dtype)
+    slices = _flat_slices(config)
     for name, (shape, _) in param_layout(config).items():
-        for prefix, group in groups.items():
+        for prefix, row in zip(_TENSOR_PREFIXES, buffers):
             key = prefix + name
             tensor = tensors.pop(key, None)
             if tensor is None:
@@ -497,14 +489,12 @@ def load_checkpoint(path, expected_vocab_sha: str | None = None) -> TrainState:
                 raise CheckpointError(f"checkpoint tensor '{key}' is {tensor.dtype}; all must share tok_emb's float dtype")
             if not np.isfinite(tensor).all():
                 raise CheckpointError(f"checkpoint tensor '{key}' holds a non-finite value")
-            group[name] = tensor
+            row[slices[name]] = tensor.reshape(-1)
     if tensors:
         raise CheckpointError(f"checkpoint tensor '{next(iter(tensors))}' is not in the model's layout")
-    params, adam_m, adam_v = groups.values()
     return TrainState(
-        params=ModelParams(config=config, tensors=params),
-        adam_m=adam_m,
-        adam_v=adam_v,
+        config=config,
+        buffers=buffers,
         step=step,
         rng=rng,
         variant=VARIANTS[variant],

@@ -479,6 +479,20 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def good_report():
+    return evaluation.EvalReport(
+        thread_id="t", per_comment_rouge=[0.5], likes_dist=[1.0], rouge_dist=[1.0], xent=0.1,
+        recall_w=0.5, title_rouge=0.0, features=evaluation.CharacterizationFeatures(3, 2, 1, 1.0, 1.0, 0.0),
+    )
+
+
+def edited_report_line(field, value):
+    """good_report's line with one field, a report's or its features', set to value."""
+    row = json.loads(evaluation.report_to_json(good_report()))
+    (row["features"] if field in row["features"] else row)[field] = value
+    return json.dumps(row)
+
+
 class TestReportsFile:
     """evaluate's reports.jsonl is strict JSON and characterize reads it back."""
 
@@ -506,16 +520,24 @@ class TestReportsFile:
         assert run(["characterize", "--reports", str(eval_dir / "reports.jsonl"), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 5
 
-    @pytest.mark.parametrize("bad", ["{not json", '{"thread_id": "t"}', "[1, 2]", '"a string"'])
-    def test_malformed_line_names_its_number(self, tmp_path, capsys, bad):
-        report = evaluation.EvalReport(
-            thread_id="t", per_comment_rouge=[0.5], likes_dist=[1.0], rouge_dist=[1.0], xent=0.1,
-            recall_w=0.5, title_rouge=0.0, features=evaluation.CharacterizationFeatures(3, 2, 1, 1.0, 1.0, 0.0),
-        )
+    @pytest.mark.parametrize("bad, field", [
+        *(pytest.param(bad, None, id=bad) for bad in ["{not json", '{"thread_id": "t"}', "[1, 2]", '"a string"']),
+        *(pytest.param(edited_report_line(field, value), field, id=f"{field}={value!r}") for field, value in [
+            ("thread_id", 7), ("per_comment_rouge", ["a"]), ("likes_dist", 1.0), ("rouge_dist", None),
+            ("xent", "a"), ("xent", None), ("xent", True), ("xent", math.nan), ("recall_w", "q"),
+            ("recall_w", math.inf), ("title_rouge", [0.0]), ("rouge_dist", [1.0, -math.inf]),
+            ("features", []), ("n_comments", "x"), ("thread_length", True), ("salient_comment_length", 2.0),
+            ("ld_thread", "1"), ("likes_std", None),
+        ]),
+    ])
+    def test_malformed_line_names_its_number(self, tmp_path, capsys, bad, field):
+        """A line that is not a report, or whose field has the wrong type,
+        raises MetricError naming the line and that field."""
         reports = tmp_path / "reports.jsonl"
-        reports.write_text(evaluation.report_to_json(report) + "\n\n" + bad + "\n")
-        with pytest.raises(evaluation.MetricError, match="line 3"):
+        reports.write_text(evaluation.report_to_json(good_report()) + "\n\n" + bad + "\n")
+        with pytest.raises(evaluation.MetricError, match="line 3") as err:
             evaluation.load_reports(reports)
+        assert field is None or f"field '{field}'" in str(err.value)
         assert run(["characterize", "--reports", str(reports), "--out", str(tmp_path / "q.csv")]) == 1
         assert "line 3" in json.loads(capsys.readouterr().err)["error"]
 

@@ -390,7 +390,8 @@ class TestCheckpointRoundTrip:
     def test_header_and_config_key_sweep(self, small_setup, tmp_path):
         """Each header key removed, and each config key removed or one added:
         a key load_checkpoint needs raises CheckpointError naming it; the
-        optional counters load with their defaults."""
+        optional counters load with their defaults.  A header that is not a
+        JSON object is refused as such."""
         corpus, vocab, config = small_setup
         path = tmp_path / "ck.tsck"
         save_checkpoint(new_state(config, get_variant(1), seed=0), path, vocab_sha="x")
@@ -418,6 +419,9 @@ class TestCheckpointRoundTrip:
             load({**header, "config": {**header["config"], "d_hidden": 64}})
         with pytest.raises(CheckpointError, match="config is a list"):
             load({**header, "config": list(header["config"])})
+        for edited, kind in (([], "list"), ("x", "str"), (3, "int"), (None, "NoneType")):
+            with pytest.raises(CheckpointError, match=f"header is a {kind}, not an object"):
+                load(edited)
         assert load(header).params.config == config
 
     def test_header_value_type_sweep(self, small_setup, tmp_path):
@@ -442,9 +446,9 @@ class TestCheckpointRoundTrip:
                 {**rng_state, "state": {**pcg, "state": -1}}, {**rng_state, "state": {**pcg, "inc": 2**200}},
                 {**rng_state, "state": {**pcg, "state": 1.5}}, {**rng_state, "extra": 1},
             ],
-            "best_val_xent": ["x", [1], True, {}],
+            "best_val_xent": ["x", [1], True, {}, math.nan, math.inf, -math.inf],
             "best_checkpoint": [5, None, ["x"], True],
-            "last_train_loss": ["x", [1], False, {}],
+            "last_train_loss": ["x", [1], False, {}, math.nan, math.inf, -math.inf],
         }
         wrong_config = {
             "d_model": ["16", 16.0, True, None, 0],
@@ -868,9 +872,9 @@ def assert_same_state(got, want, what):
 
 
 class TestFlatAdam:
-    """_adam_update keeps parameters and moments in flat buffers whose views
-    the state's dicts hold, and makes them again for a state whose tensors
-    are not those views."""
+    """A state's parameters and Adam moments are the rows of its buffers:
+    params.tensors, adam_m and adam_v hold views of them whose entries
+    cannot be re-bound, and a deep copy owns buffers of its own."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -886,33 +890,47 @@ class TestFlatAdam:
         return state
 
     @staticmethod
-    def one_buffer_per_group(state):
+    def views_of_the_buffers(state):
         for group in (state.params.tensors, state.adam_m, state.adam_v):
-            bases = {id(t.base) for t in group.values()}
-            assert len(bases) == 1 and next(iter(group.values())).base is not None
+            assert all(tensor.base is state.buffers for tensor in group.values())
 
-    @pytest.mark.parametrize("made_by", ["deepcopy", "load_checkpoint", "replaced_tensor"])
+    @pytest.mark.parametrize("made_by", ["deepcopy", "load_checkpoint"])
     def test_a_state_without_the_views_steps_as_the_reference(self, setup, tmp_path, made_by):
-        """Three steps from a copied, a loaded and a patched state equal
-        reference_summed_step's, bit for bit, and leave the state's tensors
-        views of one buffer per group again."""
+        """Three steps from a copied and a loaded state equal
+        reference_summed_step's, bit for bit, and the state's tensors stay
+        views of its buffers."""
         corpus, vocab, config, opt, variant = setup
         start = self.trained(setup, 2)
         reference = copy.deepcopy(start)
         if made_by == "deepcopy":
             state = copy.deepcopy(start)
-        elif made_by == "load_checkpoint":
+        else:
             save_checkpoint(start, tmp_path / "mid.tsck", "")
             state = load_checkpoint(tmp_path / "mid.tsck")
-        else:
-            state = start
-            state.params.tensors["lm_b"] = state.params.tensors["lm_b"] + 0
-            state.adam_v["dec0.ffn.W1"] = state.adam_v["dec0.ffn.W1"].copy()
+        self.views_of_the_buffers(state)
         for step in range(3, 6):
             train(corpus, vocab, variant, config, opt, TrainSchedule(step, 0), initial_state=state)
             reference_summed_step(reference, corpus, vocab, variant, config, opt)
             assert_same_state(state, reference, f"{made_by} step {step}")
-            self.one_buffer_per_group(state)
+            self.views_of_the_buffers(state)
+
+    def test_entries_are_fixed_and_a_copy_shares_no_memory(self, setup):
+        """Re-binding an entry raises TypeError; stepping a deep copy leaves
+        the original's bytes and rng state as they were."""
+        corpus, vocab, config, opt, variant = setup
+        state = self.trained(setup, 2)
+        for group in (state.params.tensors, state.adam_m, state.adam_v):
+            with pytest.raises(TypeError):
+                group["lm_b"] = group["lm_b"] + 0
+        copied = copy.deepcopy(state)
+        assert not np.shares_memory(copied.buffers, state.buffers)
+        assert not np.shares_memory(copied.adam_v["dec0.ffn.W1"], state.adam_v["dec0.ffn.W1"])
+        self.views_of_the_buffers(copied)
+        before, rng_state = state.buffers.tobytes(), state.rng.bit_generator.state
+        train(corpus, vocab, variant, config, opt, TrainSchedule(3, 0), initial_state=copied)
+        assert copied.step == 3 and copied.buffers.tobytes() != before
+        assert state.buffers.tobytes() == before
+        assert (state.step, state.rng.bit_generator.state) == (2, rng_state)
 
     def test_checkpoint_equals_the_reference_paths(self, setup, tmp_path):
         corpus, vocab, config, opt, variant = setup
@@ -925,8 +943,8 @@ class TestFlatAdam:
         assert (tmp_path / "flat.tsck").read_bytes() == (tmp_path / "reference.tsck").read_bytes()
 
     def test_nan_gradient_changes_nothing_on_a_copied_state(self, setup, monkeypatch):
-        """The norm is checked before the buffers are made again: the
-        state keeps its tensors, and their values."""
+        """The norm is checked before any row changes: the state keeps its
+        tensors, and their values."""
         corpus, vocab, config, opt, variant = setup
         state = copy.deepcopy(self.trained(setup, 2))
         before = [dict(group) for group in (state.params.tensors, state.adam_m, state.adam_v)]
