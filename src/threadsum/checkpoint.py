@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 
@@ -105,10 +106,11 @@ def _parse(data: bytes):
         shape = struct.unpack_from(f"<{ndim}I", data, offset)
         offset += 4 * ndim
         dtype = np.dtype(_DTYPE_TAGS[tag])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        count = math.prod(shape)  # a Python int: a product of numpy int64s would wrap
+        nbytes = count * dtype.itemsize
         if offset + nbytes > len(data):
             raise CheckpointError(f"corrupt checkpoint file: tensor '{name}' truncated")
-        tensors[name] = np.frombuffer(data[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
+        tensors[name] = np.frombuffer(data, dtype, count, offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(data):
         raise CheckpointError("corrupt checkpoint file: trailing bytes")

@@ -15,7 +15,9 @@ rows of incremental beam decoding, one row per live hypothesis.
 Every pair keeps its input's dtype: float32 activations give float32
 outputs, caches and gradients, float64 (the finite-difference checks)
 float64.  Constants are Python scalars and dropout builds its mask in the
-input's dtype, so nothing upcasts a float32 training step.
+input's dtype, so nothing upcasts a float32 training step; the loss head
+(model._smoothed_kl) keeps the logits' dtype too, with only (rows,)-long
+statistics in float64.
 
 attend is the one scaled dot-product attention core and attend_bwd its
 backward: attention_fwd/attention_bwd call them on each block's (heads, T,

@@ -27,6 +27,7 @@ the parent row that each new row extends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,32 +144,45 @@ def attention_weights(thread) -> AttentionWeights:
     """Like-derived weights: 1 for the title, sqrt(likes / max likes) per comment.
 
     If no comment collected any like the comment weights are all zero and
-    only the title keeps full weight.
+    only the title keeps full weight.  Computed in Python floats: a like
+    count up to 2**53 converts to a float exactly, and the division and the
+    square root round correctly, so the weights are those of the float64
+    array expression bit for bit, without its numpy calls per example.
     """
-    likes = np.asarray(thread.likes, dtype=np.float64)
-    if likes.size == 0:
+    likes = thread.likes
+    if not likes:
         raise ModelError(f"thread {thread.id!r} has no comments")
-    max_likes = likes.max()
-    comment_w = np.sqrt(likes / max_likes) if max_likes > 0 else np.zeros_like(likes)
-    return AttentionWeights(weights=np.concatenate(([1.0], comment_w)))
+    max_likes = max(likes)
+    comment_w = [math.sqrt(n / max_likes) for n in likes] if max_likes > 0 else [0.0] * len(likes)
+    return AttentionWeights(weights=np.array([1.0, *comment_w]))
 
 
 def token_weights(seq: TokenSeq, weights: AttentionWeights) -> np.ndarray:
     """Per-position weight vector; a position in no span (a [SEP]) takes the
-    weight of the nearest spanned position before it."""
-    w = np.asarray(weights.weights, dtype=np.float64)
+    weight of the nearest spanned position before it.  The spans must be in
+    order and disjoint, as encode makes them.  Built span by span as a list
+    of the weights' own Python floats, so it equals the float64 array
+    expression bit for bit."""
+    w = np.asarray(weights.weights, dtype=np.float64).tolist()
     if seq.n_texts > len(w):
         raise ModelError(
             f"sequence spans {seq.n_texts} texts but only {len(w)} attention weights given"
         )
-    source = np.full(len(seq.ids), -1)
+    n = len(seq.ids)
+    out: list[float] = []
     for start, end, text in seq.spans:
-        source[start:end] = text
-    spanned = source >= 0
-    if len(source) and not spanned[0]:
+        if start >= end:
+            continue  # a text that truncation consumed covers no position
+        if start < len(out) or end > n:
+            raise ModelError(f"span ({start}, {end}) overlaps an earlier span or lies outside the {n} positions")
+        if not out and start > 0:
+            break  # position 0 is in no span: refused below
+        out += out[-1:] * (start - len(out))  # the [SEP]s before it take the text before them
+        out += [w[text]] * (end - start)
+    out += out[-1:] * (n - len(out))
+    if len(out) < n:
         raise ModelError("position 0 is in no span, so no text precedes it to lend its weight")
-    nearest = np.maximum.accumulate(np.where(spanned, np.arange(len(source)), 0))
-    return w[source[nearest]]
+    return np.array(out, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +191,23 @@ def token_weights(seq: TokenSeq, weights: AttentionWeights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sub(tensors, prefix):
-    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+@functools.cache
+def _sublayer_names(config: ModelConfig) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Each sublayer's prefix "{kind}{i}.{sub}." -> its tensors' (key, full
+    name) pairs in param_layout order, read off the layout once per config."""
+    table: dict[str, list[tuple[str, str]]] = {}
+    for name in param_layout(config):
+        block, _, rest = name.partition(".")
+        sub, dot, key = rest.partition(".")
+        if dot:
+            table.setdefault(f"{block}.{sub}.", []).append((key, name))
+    return {prefix: tuple(pairs) for prefix, pairs in table.items()}
+
+
+def _sub(params: ModelParams, prefix: str) -> dict[str, np.ndarray]:
+    """The tensors of the sublayer at prefix, keyed by their names' rest."""
+    tensors = params.tensors
+    return {key: tensors[name] for key, name in _sublayer_names(params.config)[prefix]}
 
 
 def _row_slices(lengths) -> list[slice]:
@@ -250,9 +279,19 @@ def _embed_bwd(dx, cache, ln_prefix, grads, emb):
     _acc(grads, f"{ln_prefix}_b", db)
     for name, g in emb.items():
         grads.setdefault(name, g)
-    np.add.at(emb["tok_emb"], ids, de)
+    _add_rows_at(emb["tok_emb"], ids, de)
     for r in rows:  # a slice add per segment: np.add.at is ten times slower here
         emb["pos_emb"][: r.stop - r.start] += de[r]
+
+
+def _add_rows_at(table, ids, rows):
+    """np.add.at(table, ids, rows) for a C-contiguous 2-D table, through the
+    flat table with indices id * width + column: numpy's 1-D np.add.at takes
+    a faster path, and it adds the elements in the same order, each id's
+    rows in row order, so the sums are bit for bit the 2-D call's."""
+    width = table.shape[1]
+    flat = (np.asarray(ids)[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(table.reshape(-1), flat, rows.reshape(-1))
 
 
 def _acc(grads, name, value):
@@ -266,7 +305,7 @@ def _block_fwd(x, params, pfx, layout, masks, memory, p_drop, keeps, train):
     tensors, n_heads = params.tensors, params.config.n_heads
     caches = []
     for sub, ln in layout:
-        p = _sub(tensors, f"{pfx}.{sub}.")
+        p = _sub(params, f"{pfx}.{sub}.")
         if sub == "ffn":
             f, c_f = layers.ffn_fwd(x, p, train)
         elif sub == "self":
@@ -427,7 +466,7 @@ class IncrementalDecoder:
             pfx = f"dec{i}"
             block = []
             for sub, ln in BLOCK_LAYOUT["dec"]:
-                p = _sub(t, f"{pfx}.{sub}.")
+                p = _sub(params, f"{pfx}.{sub}.")
                 if sub == "self":  # q, k and v from one (d_model, 3 d_model) projection
                     p["Wqkv"] = np.concatenate((p["Wq"], p["Wk"], p["Wv"]), axis=1)
                     p["bqkv"] = np.concatenate((p["bq"], p["bk"], p["bv"]))
@@ -496,44 +535,59 @@ class IncrementalDecoder:
         return layers.softmax(logits.astype(np.float64))
 
 
-def _smoothed_kl(logits, gold, dec_rows, cfg):
-    """The summed per-example loss of a chunk's logits and d loss / d logits
-    in their dtype.  The (rows, V) float64 arrays are this function's own,
-    so they are freed when it returns."""
-    # each example's loss: the mean over its non-PAD rows of KL(q || softmax),
-    # where q puts 1-eps on the gold token and u = eps/(V-2) on every other
-    # non-PAD one, so sum q log q is one constant; non-finiteness is checked
-    # explicitly, so let nan/inf propagate
+def _smoothed_kl(logits, gold, lengths, cfg):
+    """The summed per-example loss of a chunk's logits, and d loss / d logits
+    written over the logits: the caller must own the array and drop it.
+
+    Each example (lengths gives its rows) contributes the mean over its
+    non-PAD rows of KL(q || softmax), where q puts 1-eps on the gold token
+    and u = eps/(V-2) on every other non-PAD one, so sum q log q is one
+    constant.  The work runs in the logits' dtype, in their array: the row
+    max is subtracted in place, one exp turns the array into the
+    exponentials, and a scale and a shift per row turn those into the
+    gradient (softmax - q) / n_eff.  Only (rows,)-long statistics are
+    float64: each row's sum of exponentials and its log, the row's gold and
+    [PAD] logits and its logit sum (the sums accumulated in the logits'
+    dtype).  The loss and the gradient's gold and [PAD] entries are formed
+    from them in float64, so a float32 chunk's loss rounds in float32 only
+    through the shift, the exponentials and the two row sums.  Float64
+    logits (the finite-difference checks) run the same code in float64.
+    Non-finiteness is checked on the loss, so nan and inf propagate.
+    """
     mask = gold != PAD
-    n_eff = [int(mask[r].sum()) for r in dec_rows]
-    if 0 in n_eff:
+    example = np.repeat(np.arange(len(lengths)), lengths)
+    n_eff = np.bincount(example, weights=mask)
+    if not n_eff.all():
         raise ModelError("target contains no non-PAD positions to predict")
-    eps = cfg.label_smoothing
-    u = eps / (cfg.vocab_size - 2)
+    inv_n = np.where(mask, 1.0 / n_eff[example], 0.0)  # 0 on [PAD] rows: no loss, no gradient
+    eps, V = cfg.label_smoothing, cfg.vocab_size
+    u = eps / (V - 2)
     q_log_q = (1.0 - eps) * math.log(1.0 - eps) + eps * math.log(u) if eps > 0 else 0.0
     rows = np.arange(len(gold))
+    x = logits
     with np.errstate(invalid="ignore", over="ignore"):
-        # updated in place: a chunk's (rows, V) float64 arrays are its largest
-        logp = logits.astype(np.float64)
-        logp -= np.max(logp, axis=-1, keepdims=True)
-        logp -= np.log(np.sum(np.exp(logp), axis=-1, keepdims=True))
-        logp_gold = logp[rows, gold]
-        loss_rows = q_log_q - (1.0 - eps) * logp_gold - u * (logp.sum(axis=-1) - logp[:, PAD] - logp_gold)
-        loss = 0.0
-        for r in dec_rows:
-            loss += float(loss_rows[r][mask[r]].mean())
+        x_gold = x[rows, gold].astype(np.float64)
+        x_pad = x[:, PAD].astype(np.float64)
+        x_sum = np.add.reduce(x, axis=-1).astype(np.float64)
+        x_max = np.maximum.reduce(x, axis=-1, keepdims=True)
+        x -= x_max
+        np.exp(x, out=x)
+        exp_sum = np.add.reduce(x, axis=-1).astype(np.float64)
+        lse = x_max[:, 0] + np.log(exp_sum)  # each row's log-sum-exp, float64
+        logp_gold, logp_pad = x_gold - lse, x_pad - lse
+        loss_rows = q_log_q - (1.0 - eps) * logp_gold - u * (x_sum - V * lse - logp_pad - logp_gold)
+        loss = float(loss_rows[mask] @ inv_n[mask])
     if not math.isfinite(loss):
         raise NumericsError("non-finite loss")
 
-    # d loss / d logits = (softmax - q) / n_eff on each example's non-PAD rows
-    dlogits = np.exp(logp, out=logp)
-    probs_pad, probs_gold = dlogits[:, PAD].copy(), dlogits[rows, gold]
-    dlogits -= u
-    dlogits[:, PAD] = probs_pad
-    dlogits[rows, gold] = probs_gold - (1.0 - eps)
-    dlogits /= np.repeat(np.asarray(n_eff, dtype=np.float64), [r.stop - r.start for r in dec_rows])[:, None]
-    dlogits[~mask] = 0.0
-    return loss, dlogits.astype(logits.dtype)
+    # d loss / d logits = (softmax - q) / n_eff: exp / exp_sum - u in every
+    # column, then the gold and [PAD] columns from their float64 statistics
+    # (PAD last: on a [PAD] row the gold column is the PAD column)
+    x *= (inv_n / exp_sum).astype(x.dtype)[:, None]
+    x -= (u * inv_n).astype(x.dtype)[:, None]
+    x[rows, gold] = (np.exp(logp_gold) - (1.0 - eps)) * inv_n
+    x[:, PAD] = np.exp(logp_pad) * inv_n
+    return loss, x
 
 
 def forward_loss(
@@ -562,9 +616,11 @@ def forward_loss(
     the one returned: a training step passes one dict to all of its chunks.
     A parameter missing from it takes the chunk's array; one present gets
     `grads[name] += chunk's`, the sum of the chunks' separate dicts bit for
-    bit.  The backward pass frees each block's activations once that
-    block's backward has run, and the decoder's, with the logits, before
-    the encoder's backward starts.
+    bit.  The loss head computes in the parameters' dtype, in the logits'
+    own array, which becomes d loss / d logits (_smoothed_kl).  The
+    backward pass frees each block's activations once that block's
+    backward has run, and the decoder's, with the logits, before the
+    encoder's backward starts.
     """
     cfg = params.config
     if isinstance(seq, TokenSeq):
@@ -578,7 +634,8 @@ def forward_loss(
         if len(t) > cfg.max_len:
             raise ModelError(f"target of {len(t)} ids exceeds max_len {cfg.max_len}")
     enc_rows = _row_slices([len(s.ids) for s in seqs])
-    dec_rows = _row_slices([len(t) - 1 for t in targets])
+    dec_lengths = [len(t) - 1 for t in targets]
+    dec_rows = _row_slices(dec_lengths)
 
     p_drop = cfg.dropout if rng is not None else 0.0
     enc_keeps, dec_keeps = _chunk_keeps(cfg, rng, seqs, targets) if p_drop > 0 else (None, None)
@@ -596,7 +653,7 @@ def forward_loss(
     y, dec_cache = _stack_fwd(params, "dec", dec_in, dec_rows, (enc_att, enc_rows), p_drop, dec_keeps, train=True)
     del enc, enc_att  # freed with the decoder's cross-attention caches, which hold them
     logits, c_lm = layers.linear_fwd(y, params.tensors["lm_W"], params.tensors["lm_b"])
-    loss, dlogits = _smoothed_kl(logits, gold, dec_rows, cfg)
+    loss, dlogits = _smoothed_kl(logits, gold, dec_lengths, cfg)
     del y, logits
 
     grads = {} if grads is None else grads

@@ -317,21 +317,27 @@ def _flat_size(config: ModelConfig) -> int:
     return sum(math.prod(shape) for shape, _ in param_layout(config).values())
 
 
-def _adam_update(state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig) -> None:
-    """One Adam step on the clipped gradient.  A non-finite gradient norm
-    raises NumericsError before any parameter or moment changes.
+def _adam_update(
+    state: TrainState, grads: dict[str, np.ndarray], opt: OptimizerConfig, scale: float = 1.0
+) -> None:
+    """One Adam step on the clipped gradient, grads times scale (train
+    passes 1 / batch_size).  A non-finite gradient norm raises
+    NumericsError before any parameter or moment changes.
 
     Works on the rows of state.buffers: the step's gradients are copied
-    into one more flat buffer, which clipping scales in place and
-    the update then uses as scratch, a tile of layers._TILE_BYTES at a time
-    so that a tile's five arrays stay in cache.  The norm sums each tensor's
-    float64 squares with one np.add.reduce, adding the sums in grads' order.
+    into one more flat buffer, which is multiplied by scale in one pass
+    (each element's product is the one a tensor-by-tensor scale gives),
+    then clipping scales it in place and the update uses it as scratch, a
+    tile of layers._TILE_BYTES at a time so that a tile's five arrays stay
+    in cache.  The norm sums each tensor's float64 squares with one
+    np.add.reduce, adding the sums in grads' order.
     Every expression keeps the operation order of the plain form,
     m += (1 - b1) g, v += (1 - b2) g g,
     tensor -= lr (m / bias1) / (sqrt(v / bias2) + eps), with moments of the
     parameters' dtype, so the result is the plain form's bit for bit."""
     slices = _flat_slices(state.params.config)
     g = np.concatenate([grads[name].reshape(-1) for name in slices])
+    g *= scale
     sq = 0.0
     for name in grads:
         sq += float(np.add.reduce(np.square(g[slices[name]], dtype=np.float64)))
@@ -604,10 +610,7 @@ def train(
                     grads=grads,
                 )
                 batch_loss += loss
-            scale = 1.0 / opt.batch_size
-            for g in grads.values():
-                g *= scale
-            _adam_update(state, grads, opt)
+            _adam_update(state, grads, opt, scale=1.0 / opt.batch_size)
             state.last_train_loss = batch_loss / opt.batch_size
         except NumericsError as exc:
             raise TrainingDiverged(

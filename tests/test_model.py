@@ -1,11 +1,14 @@
 """Model forward/backward: attention weighting, encoding, loss and gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from threadsum import layers
+from threadsum import layers, model
 from threadsum.corpus import CleanComment, CleanThread
 from threadsum.model import (
     BLOCK_LAYOUT,
@@ -849,3 +852,158 @@ class TestInferenceRunsTheForwardAlone:
             assert got.tobytes() == expected.tobytes()
         with pytest.raises(AssertionError, match="derivative computed"):
             forward_loss(params, seq, weights, target)
+
+
+def reference_attention_weights(thread):
+    """model.attention_weights as float64 array expressions, kept as the
+    reference that the Python-float form must equal bit for bit."""
+    likes = np.asarray(thread.likes, dtype=np.float64)
+    max_likes = likes.max()
+    comment_w = np.sqrt(likes / max_likes) if max_likes > 0 else np.zeros_like(likes)
+    return AttentionWeights(weights=np.concatenate(([1.0], comment_w)))
+
+
+def reference_token_weights(seq, weights):
+    """model.token_weights as array expressions, kept as the reference that
+    the span-by-span form must equal bit for bit."""
+    w = np.asarray(weights.weights, dtype=np.float64)
+    source = np.full(len(seq.ids), -1)
+    for start, end, text in seq.spans:
+        source[start:end] = text
+    nearest = np.maximum.accumulate(np.where(source >= 0, np.arange(len(source)), 0))
+    return w[source[nearest]]
+
+
+TRIM_VOCAB = Vocab(id_to_token=SPECIAL_TOKENS + tuple(sorted({*"abcde"} | {c + "</w>" for c in "abcde"})))
+
+
+class TestPerExampleWeightsBitForBit:
+    """attention_weights and token_weights in Python floats give the bytes
+    of their float64 array forms."""
+
+    @given(st.lists(st.one_of(st.integers(0, 9), st.integers(0, 2**53)), min_size=1, max_size=12))
+    @example([0])
+    @example([0, 0, 0])
+    @example([2**53, 2**53 - 1, 1, 0])
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_attention_weights(self, likes):
+        thread = thread_with_likes(likes)
+        got = attention_weights(thread).weights
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference_attention_weights(thread).weights.tobytes()
+
+    @given(
+        st.lists(st.text(alphabet="abcde ", max_size=12), min_size=1, max_size=6),
+        st.integers(2, 30),
+        st.data(),
+    )
+    @example(["", "ab", ""], 30, None)
+    @example(["abc de", "", "a b c d e"], 4, None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_token_weights_on_encoded_threads(self, texts, max_len, data):
+        """Threads with empty texts and texts that truncation shortens or
+        consumes."""
+        seq = encode(TRIM_VOCAB, texts, max_len=max_len)
+        if data is None:
+            w = [1.0] + [0.5 ** i for i in range(1, len(texts))]
+        else:
+            w = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(texts), max_size=len(texts)))
+        weights = AttentionWeights(weights=np.array(w))
+        if len(seq.ids) and not any(start == 0 < end for start, end, _ in seq.spans):
+            with pytest.raises(ModelError, match="position 0"):
+                token_weights(seq, weights)
+            return
+        got = token_weights(seq, weights)
+        assert got.dtype == np.float64
+        assert got.tobytes() == reference_token_weights(seq, weights).tobytes()
+
+    @pytest.mark.parametrize("spans", [[(0, 2, 0), (1, 4, 1)], [(0, 2, 0), (3, 5, 1)]], ids=["overlap", "outside"])
+    def test_spans_not_as_encode_makes_them_rejected(self, spans):
+        seq = TokenSeq(ids=[5, 6, SEP, 7], spans=spans)
+        with pytest.raises(ModelError, match=r"overlaps an earlier span or lies outside the 4 positions"):
+            token_weights(seq, AttentionWeights(weights=np.array([1.0, 0.5])))
+
+
+class TestEmbeddingScatterBitForBit:
+    """The tok_emb gradient's scatter through the flat table equals the 2-D
+    np.add.at, each id's rows added in row order."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("start", ["zeros", "random"])
+    def test_equals_the_2d_add_at(self, dtype, start):
+        rng = np.random.default_rng(61)
+        table = np.zeros((7, 48), dtype) if start == "zeros" else rng.normal(size=(7, 48)).astype(dtype)
+        ids = rng.integers(0, 7, size=60).tolist()  # every id repeats
+        rows = (rng.normal(size=(60, 48)) * 10.0 ** rng.integers(-6, 6, size=(60, 1))).astype(dtype)
+        rows[::5] = -0.0
+        rows[3, :7] = -0.0
+        expected = table.copy()
+        np.add.at(expected, ids, rows)
+        model._add_rows_at(table, ids, rows)
+        assert table.tobytes() == expected.tobytes()
+
+
+class TestSublayerTable:
+    """_sub reads a per-config table of names: the same dict, in the same
+    order and of the same arrays, as a scan of every tensor name."""
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(vocab_size=420, d_model=48, n_enc_blocks=1, n_dec_blocks=1, n_heads=4, d_ff=96, max_len=128),
+        ModelConfig(vocab_size=8000),
+        ModelConfig(vocab_size=20, d_model=8, n_enc_blocks=2, n_dec_blocks=3, n_heads=2, d_ff=16, max_len=24),
+    ], ids=["directional", "default", "2+3 blocks"])
+    def test_equals_the_scan(self, config):
+        params = init_params(config, seed=62)
+        prefixes = {f"{kind}{i}.{sub}." for kind, layout in BLOCK_LAYOUT.items()
+                    for i in range(getattr(config, f"n_{kind}_blocks")) for sub, _ in layout}
+        assert set(model._sublayer_names(config)) == prefixes
+        for prefix in prefixes:
+            scan = {k[len(prefix):]: v for k, v in params.tensors.items() if k.startswith(prefix)}
+            got = model._sub(params, prefix)
+            assert list(got) == list(scan)
+            assert all(got[key] is scan[key] for key in scan)
+
+
+def loss_head_inputs(seed, V, n_rows=400):
+    """float32 logits of eight examples' rows and gold ids; three rows, one
+    of them a whole example's last, are [PAD]."""
+    rng = np.random.default_rng(seed)
+    lengths = [n_rows // 8] * 8
+    lengths[-1] += n_rows - sum(lengths)
+    logits = (rng.normal(size=(n_rows, V)) * rng.uniform(0.5, 4.0, size=(n_rows, 1))).astype(np.float32)
+    gold = rng.integers(len(SPECIAL_TOKENS), V, size=n_rows)
+    gold[[3, 120, n_rows - 1]] = PAD
+    return logits, gold, lengths
+
+
+class TestFloat32LossHead:
+    """_smoothed_kl computes in the logits' dtype, so a float32 chunk's loss
+    head stays in float32 but for its (rows,)-long statistics."""
+
+    @pytest.mark.parametrize("V", [420, 8000])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_equals_the_float64_head(self, V, eps):
+        cfg = ModelConfig(vocab_size=V, label_smoothing=eps)
+        logits, gold, lengths = loss_head_inputs(63, V)
+        loss64, d64 = model._smoothed_kl(logits.astype(np.float64), gold, lengths, cfg)
+        loss32, d32 = model._smoothed_kl(logits.copy(), gold, lengths, cfg)
+        assert d32.dtype == np.float32 and d64.dtype == np.float64
+        assert abs(loss32 - loss64) <= 1e-8 * abs(loss64)
+        assert np.abs(d32 - d64).max() <= 1e-7
+        assert not d32[gold == PAD].any()
+
+    def test_allocates_little_beyond_its_input(self):
+        """At (400, 8000), the CLI's default vocabulary, the head allocates
+        at most 1.25 times the logits' bytes beyond them, measured by
+        tracemalloc: it works in the logits' own array, and keeps only
+        (rows,)-long statistics of its own.  A float64 copy of the logits
+        alone would be 2.0 times."""
+        cfg = ModelConfig(vocab_size=8000)
+        logits, gold, lengths = loss_head_inputs(64, 8000)
+        tracemalloc.start()
+        try:
+            model._smoothed_kl(logits, gold, lengths, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * logits.nbytes, f"peak {peak / logits.nbytes:.2f} times the logits"

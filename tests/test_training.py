@@ -4,6 +4,7 @@ import copy
 import ctypes
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -537,6 +538,22 @@ class TestCheckpointTensorSweep:
             load({**tensors, "dec0.self.Wz": tensors["dec0.self.Wq"]})
         with pytest.raises(CheckpointError, match="'tok_emb' is int64"):
             load({**tensors, "tok_emb": tensors["tok_emb"].astype(np.int64)})
+
+    def test_a_size_past_64_bits_reads_as_truncated(self, tmp_path):
+        """A tensor header of shape (2**31, 2**31, 4) declares 2**64
+        elements, which a product in int64 wraps to 0 (and the file then
+        failed to reshape an empty array); the loader reports the tensor
+        truncated."""
+        path = tmp_path / "ck.tsck"
+        save_checkpoint(new_state(self.CONFIG, get_variant(1), seed=0), path, vocab_sha="x")
+        header, tensors = read_tensors(path)
+        write_tensors(path, header, {**tensors, "tok_emb": np.zeros((2, 2, 4), np.float32)})
+        data = path.read_bytes()
+        entry = b"tok_emb" + struct.pack("<BB3I", 0, 3, 2, 2, 4)
+        assert data.count(entry) == 1
+        path.write_bytes(data.replace(entry, b"tok_emb" + struct.pack("<BB3I", 0, 3, 2**31, 2**31, 4)))
+        with pytest.raises(CheckpointError, match="tensor 'tok_emb' truncated"):
+            load_checkpoint(path)
 
 
 class TestResume:
